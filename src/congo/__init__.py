@@ -8,7 +8,6 @@ from .core import (
     MeasurementError,
     SmoothnessProfile,
     gd_update,
-    project,
 )
 from .env_jackson import (
     FixedWorkload,
@@ -71,12 +70,11 @@ from .recovery import (
 )
 from .sensing import (
     MeasurementMatrix,
-    MeasurementVector,
     ValueOracle,
     draw_matrix,
+    forward_differences,
     measure_combined,
     measure_single_row,
-    prescribe_k,
     prescribe_m,
 )
 

@@ -71,7 +71,7 @@ def _cmd_run(args) -> int:
     artifacts = ["raw.csv", "aggregate.csv"] + ([] if args.no_plot else ["plot.svg"])
     print(f"{spec.name}: {len(table.runs) - len(table.failures())}/{len(table.runs)} runs ok; "
           f"wrote {', '.join(artifacts)} in {out}")
-    return 0
+    return 1 if table.failures() else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -87,7 +87,7 @@ def _cmd_sweep(args) -> int:
         print(f"warning: {failures} runs failed during the sweep", file=sys.stderr)
     print(f"{plan.name}: swept {plan.parameter} over {len(plan.values)} values; "
           f"wrote sweep.csv in {out}")
-    return 0
+    return 1 if failures else 0
 
 
 def _cmd_validate(args) -> int:

@@ -48,10 +48,6 @@ class Ball:
         point = _as_vector(point, self.dim)
         return float(np.linalg.norm(point - self.center)) <= self.radius + tol
 
-    def half_squared_diameter(self) -> float:
-        # sup_{x,y} ||x - y||^2 / 2 with ||x - y|| <= 2r
-        return 2.0 * self.radius**2
-
 
 @dataclass(frozen=True)
 class Box:
@@ -82,9 +78,6 @@ class Box:
         point = _as_vector(point, self.dim)
         return bool(np.all(point >= self.lower - tol) and np.all(point <= self.upper + tol))
 
-    def half_squared_diameter(self) -> float:
-        return 0.5 * float(np.sum((self.upper - self.lower) ** 2))
-
 
 # Any feasible region used by the optimizers: needs project/contains/dim.
 ConstraintSet = Ball | Box
@@ -111,11 +104,6 @@ class SmoothnessProfile:
     def __post_init__(self):
         if self.lipschitz < 0 or self.smoothness < 0:
             raise ConfigurationError("smoothness bounds must be nonnegative")
-
-
-def project(point: np.ndarray, cset: ConstraintSet) -> np.ndarray:
-    """Euclidean projection of point onto cset."""
-    return cset.project(point)
 
 
 def gd_update(x: np.ndarray, gradient: np.ndarray, eta: float, cset: ConstraintSet) -> np.ndarray:

@@ -80,7 +80,11 @@ class FixedWorkload:
 
 @dataclass(frozen=True)
 class VariableRateWorkload:
-    """Piecewise-constant arrival rate: segments of (first_round, last_round, rate)."""
+    """Piecewise-constant arrival rate: segments of (first_round, last_round, rate).
+
+    The segments run in order from round 1 with no gap or overlap; rounds past
+    the last segment keep its rate.
+    """
 
     segments: tuple[tuple[int, int, float], ...]
     mix: dict[str, float]
@@ -88,6 +92,16 @@ class VariableRateWorkload:
     def __post_init__(self):
         if not self.segments:
             raise ConfigurationError("need at least one rate segment")
+        expected = 1
+        for first, last, _ in self.segments:
+            if first != expected:
+                raise ConfigurationError(
+                    f"rate segment {first}-{last} starts at round {first}, expected {expected}:"
+                    " segments must cover the rounds in order from 1, without gaps or overlaps"
+                )
+            if last < first:
+                raise ConfigurationError(f"rate segment {first}-{last} ends before it starts")
+            expected = last + 1
 
     def at(self, t: int) -> tuple[float, dict[str, float]]:
         for first, last, rate in self.segments:

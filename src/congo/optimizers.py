@@ -31,7 +31,13 @@ from .core import (
     gd_update,
 )
 from .recovery import RecoveryConfig, basis_pursuit, cosamp, postprocess, rescale
-from .sensing import ValueOracle, draw_matrix, measure_combined, measure_single_row
+from .sensing import (
+    ValueOracle,
+    draw_matrix,
+    forward_differences,
+    measure_combined,
+    measure_single_row,
+)
 
 log = logging.getLogger(__name__)
 
@@ -150,61 +156,40 @@ class RoundRecord:
 
 def congo_step(
     cfg: OptimizerConfig, oracle: ValueOracle, x: np.ndarray, rng: np.random.Generator
-) -> tuple[GradientEstimate, int]:
+) -> GradientEstimate:
     """One compressed gradient estimate: measure, rescale, recover, clip."""
-    d = x.shape[0]
-    before = oracle.queries
-    matrix = draw_matrix(cfg.m, d, cfg.matrix_distribution(), rng)
+    matrix = draw_matrix(cfg.m, x.shape[0], cfg.matrix_distribution(), rng)
     cap = cfg.clip_cap()
-    try:
-        if cfg.name == "congo-b":
-            measured = measure_combined(oracle, x, matrix, cfg.delta, cfg.averaging_count(), rng)
-        else:
-            measured = measure_single_row(oracle, x, matrix, cfg.delta)
-    except MeasurementError as exc:
-        log.warning("round measurement failed (%s); clipping gradient to zero", exc)
-        return GradientEstimate(np.zeros(d), clipped=True), oracle.queries - before
-    scaled_matrix, scaled_values = rescale(matrix.entries, measured.values)
     if cfg.name == "congo-b":
+        measured = measure_combined(oracle, x, matrix, cfg.delta, cfg.averaging_count(), rng)
         noise_level = 3.0 * cfg.smoothness.smoothness * cfg.delta
-        outcome = basis_pursuit(scaled_matrix, scaled_values, noise_level, cap, cfg.recovery_config())
-        estimate = postprocess(outcome, cap)
+        outcome = basis_pursuit(
+            *rescale(matrix.entries, measured), noise_level, cap, cfg.recovery_config()
+        )
     else:
-        recovered = cosamp(scaled_matrix, scaled_values, cfg.recovery_config())
-        estimate = postprocess(recovered, cap)
-    return estimate, measured.queries_used
+        measured = measure_single_row(oracle, x, matrix, cfg.delta)
+        outcome = cosamp(*rescale(matrix.entries, measured), cfg.recovery_config())
+    return postprocess(outcome, cap)
 
 
 def gdsp_step(
     cfg: OptimizerConfig, oracle: ValueOracle, x: np.ndarray, rng: np.random.Generator
-) -> tuple[GradientEstimate, int]:
+) -> GradientEstimate:
     """Averaged simultaneous-perturbation estimate; draws share the base query."""
-    d = x.shape[0]
     draws = cfg.averaging_count()
-    before = oracle.queries
-    base = oracle(x)
-    acc = np.zeros(d)
-    for _ in range(draws):
-        signs = rng.integers(0, 2, size=d).astype(float) * 2.0 - 1.0
-        probe = oracle(x + cfg.delta * signs)
-        # (probe - base) / (delta * sign_j) == (probe - base) / delta * sign_j
-        acc += (probe - base) / cfg.delta * signs
-    return GradientEstimate(acc / draws, clipped=False), oracle.queries - before
+    signs = rng.integers(0, 2, size=(draws, x.shape[0])).astype(float) * 2.0 - 1.0
+    # (probe - base) / (delta * sign_j) == (probe - base) / delta * sign_j
+    scaled = forward_differences(oracle, x, signs, np.full(draws, cfg.delta)) / cfg.delta
+    return GradientEstimate((scaled[:, None] * signs).sum(axis=0) / draws)
 
 
 def nsgd_step(
     cfg: OptimizerConfig, oracle: ValueOracle, x: np.ndarray, rng: np.random.Generator
-) -> tuple[GradientEstimate, int]:
+) -> GradientEstimate:
     """One forward difference per coordinate; d+1 queries."""
     d = x.shape[0]
-    before = oracle.queries
-    base = oracle(x)
-    grad = np.zeros(d)
-    for i in range(d):
-        probe = x.copy()
-        probe[i] += cfg.delta
-        grad[i] = (oracle(probe) - base) / cfg.delta
-    return GradientEstimate(grad, clipped=False), oracle.queries - before
+    diffs = forward_differences(oracle, x, np.eye(d), np.full(d, cfg.delta))
+    return GradientEstimate(diffs / cfg.delta)
 
 
 def run_online(cfg: OptimizerConfig, env, horizon: int, seed: int) -> list[RoundRecord]:
@@ -263,12 +248,19 @@ def _estimate(cfg, env, x, rng) -> tuple[GradientEstimate, int]:
         if exact is None:
             raise ConfigurationError("gd needs an environment with exact gradients")
         return GradientEstimate(np.asarray(exact, dtype=float), clipped=False), 0
-    oracle = env.oracle()
-    if cfg.name in ("congo-e", "congo-z", "congo-b"):
-        return congo_step(cfg, oracle, x, rng)
-    if cfg.name in ("gdsp", "sgdsp"):
-        return gdsp_step(cfg, oracle, x, rng)
-    return nsgd_step(cfg, oracle, x, rng)
+    oracle = env.oracle()  # fresh each round, so its count is the round's queries
+    if cfg.name in CS_VARIANTS:
+        step = congo_step
+    elif cfg.name in ("gdsp", "sgdsp"):
+        step = gdsp_step
+    else:
+        step = nsgd_step
+    try:
+        estimate = step(cfg, oracle, x, rng)
+    except MeasurementError as exc:
+        log.warning("round measurement failed (%s); clipping gradient to zero", exc)
+        estimate = GradientEstimate(np.zeros(x.shape[0]), clipped=True)
+    return estimate, oracle.queries
 
 
 def _gradient_error(env, x, step_vector) -> float | None:

@@ -124,11 +124,15 @@ def _parse_segments(text: str) -> tuple[tuple[int, int, float], ...]:
 
 
 class _Section:
-    """Typed accessors over one configparser section with field-naming errors."""
+    """Typed accessors over one section's key/value text with field-naming errors."""
 
-    def __init__(self, parser: configparser.ConfigParser, name: str):
+    def __init__(self, name: str, data: dict[str, str]):
         self.name = name
-        self._data = dict(parser[name]) if parser.has_section(name) else {}
+        self._data = data
+
+    @classmethod
+    def of(cls, parser: configparser.ConfigParser, name: str) -> _Section:
+        return cls(name, dict(parser[name]) if parser.has_section(name) else {})
 
     def __contains__(self, key: str) -> bool:
         return key in self._data
@@ -204,7 +208,7 @@ def load_spec(path: str | Path, overrides: dict[str, object] | None = None) -> E
     parser = _read_file(path)
     if not parser.has_section("experiment"):
         raise ConfigurationError(f"{path}: missing [experiment] section")
-    exp = _Section(parser, "experiment")
+    exp = _Section.of(parser, "experiment")
     kind = exp.require("kind")
     if kind not in ("quadratic", "jackson"):
         raise ConfigurationError(f"[experiment] kind: {kind!r} is not quadratic or jackson")
@@ -224,7 +228,7 @@ def load_spec(path: str | Path, overrides: dict[str, object] | None = None) -> E
     if kind == "quadratic":
         make_env, dim, radius = _build_quadratic(parser)
     else:
-        make_env, dim, radius = _build_jackson(parser)
+        make_env, dim, radius = _build_jackson(parser, horizon)
 
     known = {"experiment", "quadratic", "topology", "workload", "simulation", "sweep"}
     for section in parser.sections():
@@ -255,7 +259,7 @@ def load_spec(path: str | Path, overrides: dict[str, object] | None = None) -> E
 
 
 def _build_quadratic(parser):
-    sec = _Section(parser, "quadratic")
+    sec = _Section.of(parser, "quadratic")
     if not parser.has_section("quadratic"):
         raise ConfigurationError("missing [quadratic] section")
     raw_constant = sec.raw("fixed_constant")
@@ -272,10 +276,10 @@ def _build_quadratic(parser):
     return (lambda: QuadraticAdversary(cfg)), cfg.dimension, cfg.radius
 
 
-def _build_jackson(parser):
+def _build_jackson(parser, horizon):
     if not parser.has_section("topology"):
         raise ConfigurationError("missing [topology] section")
-    topo_sec = _Section(parser, "topology")
+    topo_sec = _Section.of(parser, "topology")
     num_queues = topo_sec.integer("queues")
     routes = {}
     for key in topo_sec.keys():
@@ -293,7 +297,7 @@ def _build_jackson(parser):
 
     if not parser.has_section("workload"):
         raise ConfigurationError("missing [workload] section")
-    work = _Section(parser, "workload")
+    work = _Section.of(parser, "workload")
     wkind = work.text("kind", "fixed")
     if wkind == "fixed":
         schedule = FixedWorkload(
@@ -304,6 +308,11 @@ def _build_jackson(parser):
             segments=_parse_segments(work.require("segments")),
             mix=_parse_mix("workload", work.require("mix")),
         )
+        last = schedule.segments[-1][1]
+        if last < horizon:
+            raise ConfigurationError(
+                f"[workload] segments: end at round {last}, before the last round {horizon}"
+            )
     elif wkind == "variable-mix":
         schedule = VariableMixWorkload(
             rate=work.floating("rate"),
@@ -317,7 +326,7 @@ def _build_jackson(parser):
             f"[workload] kind: {wkind!r} is not fixed, variable-rate, or variable-mix"
         )
 
-    sim = _Section(parser, "simulation")
+    sim = _Section.of(parser, "simulation")
     sim_cfg = SimConfig(
         warmup_seconds=sim.floating("warmup_seconds", 30.0),
         measure_seconds=sim.floating("measure_seconds", 10.0),
@@ -345,87 +354,51 @@ def _build_optimizer(parser, opt_name, kind, dim, radius, overrides) -> Optimize
                 if key not in _OPTIMIZER_KEYS:
                     raise ConfigurationError(f"[{section}] {key}: unknown key")
                 merged[key] = value.strip()
-    sec_name = f"optimizer.{opt_name}"
     for key, value in overrides.items():
         if key not in SWEEPABLE:
             raise ConfigurationError(f"sweep parameter {key!r} is not one of {SWEEPABLE}")
         if opt_name != "gd":  # the exact-gradient baseline has nothing to sweep
             merged[key] = str(value)
+    sec = _Section(f"optimizer.{opt_name}", merged)
 
-    def floating(key, default=None):
-        raw = merged.get(key, "")
-        if raw == "":
-            if default is None:
-                raise ConfigurationError(f"[{sec_name}] {key}: missing required key")
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigurationError(f"[{sec_name}] {key}: {raw!r} is not a number")
-
-    def integer(key, default):
-        raw = merged.get(key, "")
-        if raw == "":
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigurationError(f"[{sec_name}] {key}: {raw!r} is not an integer")
-
-    sparsity = integer("sparsity", 1)
-    raw_m = merged.get("m", "")
-    if raw_m == "auto":
+    sparsity = sec.integer("sparsity", 1)
+    if sec.raw("m") == "auto":
         m = prescribe_m(sparsity, dim)
     else:
-        m = integer("m", 1)
+        m = sec.integer("m", 1)
 
     for bound in ("lipschitz", "smoothness"):
-        if merged.get(bound, "") == "auto":
+        if sec.raw(bound) == "auto":
             if kind != "quadratic":
                 raise ConfigurationError(
-                    f"[{sec_name}] {bound}: auto bounds exist only for the quadratic adversary"
+                    f"[{sec.name}] {bound}: auto bounds exist only for the quadratic adversary"
                 )
-            merged[bound] = ""
-    if kind == "quadratic" and ("lipschitz" not in merged or merged["lipschitz"] == ""):
+            merged[bound] = ""  # sec reads merged: auto now reads as unset
+    if kind == "quadratic" and sec.raw("lipschitz", "") == "":
         profile = smoothness_bounds(radius, sparsity)
     else:
         profile = SmoothnessProfile(
-            lipschitz=floating("lipschitz", 0.0), smoothness=floating("smoothness", 0.0)
+            lipschitz=sec.floating("lipschitz", 0.0), smoothness=sec.floating("smoothness", 0.0)
         )
 
-    raw_k = merged.get("k", "")
-    k = None if raw_k in ("", "auto") else integer("k", 1)
-    distribution = merged.get("distribution") or None
-
-    if "learning_rate" not in merged:
-        raise ConfigurationError(f"[{sec_name}] learning_rate: missing required key")
+    k = None if sec.raw("k", "") in ("", "auto") else sec.integer("k", 1)
     return OptimizerConfig(
         name=opt_name,
-        schedule=parse_learning_rate(merged["learning_rate"]),
-        delta=floating("delta"),
+        schedule=parse_learning_rate(sec.require("learning_rate")),
+        delta=sec.floating("delta"),
         sparsity=sparsity,
         m=m,
         k=k,
         smoothness=profile,
-        normalize_gradient=_as_bool(sec_name, "normalize_gradient", merged),
-        recovery_tolerance=floating("recovery_tolerance", 0.005),
-        recovery_max_iterations=integer("recovery_max_iterations", 50),
-        distribution=distribution,
+        normalize_gradient=sec.boolean("normalize_gradient", False),
+        recovery_tolerance=sec.floating("recovery_tolerance", 0.005),
+        recovery_max_iterations=sec.integer("recovery_max_iterations", 50),
+        distribution=sec.raw("distribution") or None,
     )
 
 
-def _as_bool(section, key, merged) -> bool:
-    raw = merged.get(key, "")
-    if raw == "":
-        return False
-    states = configparser.ConfigParser.BOOLEAN_STATES
-    if raw.lower() not in states:
-        raise ConfigurationError(f"[{section}] {key}: {raw!r} is not a boolean")
-    return states[raw.lower()]
-
-
 def _read_sweep(parser) -> tuple[str, tuple[float, ...]]:
-    sec = _Section(parser, "sweep")
+    sec = _Section.of(parser, "sweep")
     parameter = sec.require("parameter")
     if parameter not in SWEEPABLE:
         raise ConfigurationError(f"[sweep] parameter: {parameter!r} is not one of {SWEEPABLE}")

@@ -25,15 +25,28 @@ _MAX_REDRAWS = 64
 
 
 class ValueOracle:
-    """Wraps a scalar-valued function and counts how many times it is queried."""
+    """Wraps a scalar-valued function and counts the points it is queried at."""
 
     def __init__(self, fn: Callable[[np.ndarray], float]):
         self._fn = fn
         self.queries = 0
 
-    def __call__(self, point: np.ndarray) -> float:
-        self.queries += 1
-        return float(self._fn(point))
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        """The function's value at each row of a (q, d) batch, evaluated in row order.
+
+        Every evaluated point counts as one query. The first non-finite value
+        raises MeasurementError, and the rows after it are never evaluated.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2:
+            raise ConfigurationError(f"oracle takes a (q, d) batch, got shape {points.shape}")
+        values = np.empty(points.shape[0])
+        for i, point in enumerate(points):
+            self.queries += 1
+            values[i] = self._fn(point)
+            if not math.isfinite(values[i]):
+                raise MeasurementError(f"oracle returned a non-finite value at batch row {i}")
+        return values
 
 
 @dataclass(frozen=True)
@@ -48,15 +61,6 @@ class MeasurementMatrix:
     @property
     def d(self) -> int:
         return self.entries.shape[1]
-
-    def max_row_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.entries, axis=1)))
-
-
-@dataclass(frozen=True)
-class MeasurementVector:
-    values: np.ndarray
-    queries_used: int
 
 
 def draw_matrix(m: int, d: int, distribution: str, rng: np.random.Generator) -> MeasurementMatrix:
@@ -91,30 +95,30 @@ def _draw_rows(m: int, d: int, distribution: str, rng: np.random.Generator) -> n
     return rng.integers(0, 2, size=(m, d)).astype(float) * 2.0 - 1.0
 
 
+def forward_differences(
+    oracle: ValueOracle, x: np.ndarray, directions: np.ndarray, steps: np.ndarray
+) -> np.ndarray:
+    """f(x + steps[i] * directions[i]) - f(x) for every row i, from one oracle batch.
+
+    The batch is x followed by the probe points, so it costs len(steps) + 1
+    queries.
+    """
+    values = oracle(np.vstack([x, x + steps[:, None] * directions]))
+    return values[1:] - values[0]
+
+
 def measure_single_row(
     oracle: ValueOracle, x: np.ndarray, matrix: MeasurementMatrix, delta: float
-) -> MeasurementVector:
+) -> np.ndarray:
     """One forward difference per matrix row; m+1 queries total.
 
     Row i probes x + (delta/||a_i||^2) a_i, so for twice-differentiable f each
     entry satisfies |y_i - <grad f(x), a_i>| <= (L/2) delta with L the Hessian
     norm bound.
     """
-    _check_delta(delta)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (matrix.d,):
-        raise ConfigurationError(f"point has shape {x.shape}, matrix expects ({matrix.d},)")
-    before = oracle.queries
-    base = oracle(x)
-    _check_value(base, "base query")
+    x = _check_probe(x, matrix, delta)
     norms_sq = np.sum(matrix.entries**2, axis=1)
-    values = np.empty(matrix.m)
-    for i in range(matrix.m):
-        scale = norms_sq[i]
-        probe = oracle(x + (delta / scale) * matrix.entries[i])
-        _check_value(probe, f"row {i} query")
-        values[i] = (probe - base) * scale / delta
-    return MeasurementVector(values=values, queries_used=oracle.queries - before)
+    return forward_differences(oracle, x, matrix.entries, delta / norms_sq) * norms_sq / delta
 
 
 def measure_combined(
@@ -124,104 +128,45 @@ def measure_combined(
     delta: float,
     k: int,
     rng: np.random.Generator,
-) -> MeasurementVector:
+) -> np.ndarray:
     """Average of k signed-combination probes; k+1 queries total.
 
     Each draw perturbs along A^T D for a Rademacher sign vector D, giving a
     one-query estimate of every entry of (A grad f) at once; averaging over k
     draws shrinks the cross-row interference, which has zero mean.
     """
-    _check_delta(delta)
     if k < 1:
         raise ConfigurationError(f"averaging count must be >= 1, got {k}")
+    x = _check_probe(x, matrix, delta)
+    signs = _draw_rows(k, matrix.m, "rademacher", rng)
+    for _ in range(_MAX_REDRAWS):
+        # one matrix-vector product and one dot product per draw, stacked:
+        # signs @ A or a summed square would round differently
+        combos = (matrix.entries.T @ signs[:, :, None])[:, :, 0]
+        norms_sq = (combos[:, None, :] @ combos[:, :, None]).ravel()
+        bad = norms_sq == 0.0
+        if not bad.any():
+            break
+        log.debug("redrawing %d sign vectors: combined direction was zero", int(bad.sum()))
+        signs[bad] = _draw_rows(int(bad.sum()), matrix.m, "rademacher", rng)
+    else:
+        raise MeasurementError("could not draw a nonzero combined perturbation direction")
+    scaled = forward_differences(oracle, x, combos, delta / norms_sq) * (norms_sq / delta)
+    # 1/sign_i == sign_i for signs in {-1, +1}; the sum adds draw after draw
+    return (scaled[:, None] * signs).sum(axis=0) / k
+
+
+def prescribe_m(s: int, d: int) -> int:
+    """Row count ceil(2 s ln(d/s)) for an s-sparse target in d dimensions, clamped to [1, d]."""
+    if not 1 <= s <= d:
+        raise ConfigurationError(f"need 1 <= s <= d, got s={s}, d={d}")
+    return int(min(d, max(1, math.ceil(2.0 * s * math.log(d / s)))))
+
+
+def _check_probe(x: np.ndarray, matrix: MeasurementMatrix, delta: float) -> np.ndarray:
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ConfigurationError(f"perturbation size must be finite and > 0, got {delta}")
     x = np.asarray(x, dtype=float)
     if x.shape != (matrix.d,):
         raise ConfigurationError(f"point has shape {x.shape}, matrix expects ({matrix.d},)")
-    before = oracle.queries
-    base = oracle(x)
-    _check_value(base, "base query")
-    acc = np.zeros(matrix.m)
-    for draw in range(k):
-        signs, combo, norm_sq = _nonzero_combination(matrix, rng)
-        probe = oracle(x + (delta / norm_sq) * combo)
-        _check_value(probe, f"draw {draw} query")
-        # 1/sign_i == sign_i for signs in {-1, +1}
-        acc += (probe - base) * (norm_sq / delta) * signs
-    return MeasurementVector(values=acc / k, queries_used=oracle.queries - before)
-
-
-def _nonzero_combination(matrix: MeasurementMatrix, rng: np.random.Generator):
-    for _ in range(_MAX_REDRAWS):
-        signs = rng.integers(0, 2, size=matrix.m).astype(float) * 2.0 - 1.0
-        combo = matrix.entries.T @ signs
-        norm_sq = float(np.dot(combo, combo))
-        if norm_sq > 0.0:
-            return signs, combo, norm_sq
-        log.debug("redrawing sign vector: combined direction was zero")
-    raise MeasurementError("could not draw a nonzero combined perturbation direction")
-
-
-def prescribe_m(
-    s: int, d: int, mode: str = "practical", horizon: int | None = None, variant: str = "e"
-) -> int:
-    """Row count for an s-sparse target in d dimensions, clamped to [1, d].
-
-    practical: ceil(2 s ln(d/s)). theoretical: the horizon-dependent guarantee
-    expression (leading constant taken as 1), which differs between the
-    single-row and combined-scheme optimizers.
-    """
-    if not 1 <= s <= d:
-        raise ConfigurationError(f"need 1 <= s <= d, got s={s}, d={d}")
-    if mode == "practical":
-        raw = 2.0 * s * math.log(d / s)
-    elif mode == "theoretical":
-        if horizon is None or horizon < 1:
-            raise ConfigurationError("theoretical mode needs a horizon >= 1")
-        if variant in ("e", "z"):
-            raw = 4.0 * s * math.log(math.e * d / (4.0 * s)) + math.log(2.0 * horizon)
-        elif variant == "b":
-            raw = 2.0 * s * math.log(math.e * d / (2.0 * s)) + math.log(4.0 * horizon)
-        else:
-            raise ConfigurationError(f"unknown variant {variant!r}")
-    else:
-        raise ConfigurationError(f"unknown mode {mode!r}")
-    return int(min(d, max(1, math.ceil(raw))))
-
-
-def prescribe_k(
-    m: int,
-    lipschitz: float,
-    smoothness: float,
-    delta: float,
-    row_norm_bound: float,
-    horizon: int,
-) -> int:
-    """Averaging count that keeps the combined scheme's interference noise in check.
-
-    ceil(4 (m-1)^2 L_f^2 G^2 ln(2 m T) / (L^2 delta^2)), clamped to >= 1.
-    """
-    if m < 1:
-        raise ConfigurationError(f"row count must be >= 1, got {m}")
-    if horizon < 1:
-        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
-    if smoothness <= 0 or delta <= 0:
-        raise ConfigurationError("prescribe_k needs smoothness > 0 and delta > 0")
-    raw = (
-        4.0
-        * (m - 1) ** 2
-        * lipschitz**2
-        * row_norm_bound**2
-        * math.log(2.0 * m * horizon)
-        / (smoothness**2 * delta**2)
-    )
-    return max(1, math.ceil(raw))
-
-
-def _check_delta(delta: float):
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ConfigurationError(f"perturbation size must be finite and > 0, got {delta}")
-
-
-def _check_value(value: float, what: str):
-    if not math.isfinite(value):
-        raise MeasurementError(f"oracle returned non-finite value on {what}")
+    return x

@@ -12,7 +12,6 @@ from congo.core import (
     GradientEstimate,
     SmoothnessProfile,
     gd_update,
-    project,
 )
 
 
@@ -37,12 +36,6 @@ def test_box_projection_is_clip():
     assert box.contains(np.array([0.0, 1.0]))
     assert not box.contains(np.array([0.0, 2.1]))
     assert box.contains(np.array([0.0, 2.1]), tol=0.2)
-
-
-def test_half_squared_diameter():
-    assert Ball(center=np.zeros(2), radius=3.0).half_squared_diameter() == 18.0
-    box = Box(lower=np.zeros(2), upper=np.array([3.0, 4.0]))
-    assert box.half_squared_diameter() == pytest.approx(12.5)
 
 
 def test_set_validation_errors():
@@ -98,11 +91,6 @@ def test_gd_update_rejects_negative_rate():
     box = Box(lower=np.zeros(1), upper=np.ones(1))
     with pytest.raises(AssertionError):
         gd_update(np.array([0.5]), np.array([1.0]), -0.1, box)
-
-
-def test_project_helper_dispatches():
-    ball = Ball(center=np.zeros(2), radius=1.0)
-    assert np.allclose(project(np.array([3.0, 0.0]), ball), [1.0, 0.0])
 
 
 def test_gradient_estimate_coerces_and_flags():

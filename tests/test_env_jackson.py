@@ -79,6 +79,21 @@ def test_workload_schedules():
         VariableMixWorkload(rate=1.0, initial_mix={}, final_mix={}, start_round=5, end_round=5)
 
 
+@pytest.mark.parametrize(
+    "segments",
+    [
+        ((2, 10, 2.0),),  # does not start at round 1
+        ((1, 5, 2.0), (7, 10, 3.0)),  # gap at round 6
+        ((1, 5, 2.0), (5, 10, 3.0)),  # round 5 twice
+        ((6, 10, 3.0), (1, 5, 2.0)),  # out of order
+        ((1, 5, 2.0), (6, 4, 3.0)),  # ends before it starts
+    ],
+)
+def test_variable_rate_segments_must_cover_the_rounds(segments):
+    with pytest.raises(ConfigurationError):
+        VariableRateWorkload(segments=segments, mix=ONE_JOB)
+
+
 def test_sim_config_validation():
     with pytest.raises(ConfigurationError):
         SimConfig(measure_seconds=0.0)
@@ -185,7 +200,7 @@ def test_latency_oracle_windows_are_independent():
     rng = np.random.default_rng(1)
     oracle = latency_oracle(SINGLE, 2.0, ONE_JOB, quick_cfg(), rng)
     x = np.array([4.0])
-    first, second = oracle(x), oracle(x)
+    first, second = oracle(np.stack([x, x]))
     assert oracle.queries == 2
     assert first != second  # fresh window per query, no common-random-numbers reuse
 

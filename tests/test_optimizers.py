@@ -71,6 +71,19 @@ class BrokenOracleEnv(LinearEnv):
         return np.full(self.dim, self.offset)
 
 
+class NaNFromThirdQueryEnv(LinearEnv):
+    """Each round's oracle answers two points, then NaN from the third on."""
+
+    def oracle(self):
+        answered = []
+
+        def fn(x):
+            answered.append(x)
+            return float(self.g @ x) if len(answered) < 3 else float("nan")
+
+        return ValueOracle(fn)
+
+
 class FlakyCostEnv(LinearEnv):
     """Round 1 cost observation is unstable (NaN)."""
 
@@ -166,8 +179,8 @@ def test_congo_step_recovers_sparse_linear_gradient():
     g[[2, 9]] = (1.5, -2.0)
     oracle = ValueOracle(lambda x: float(g @ x))
     cfg = cfg_for("congo-e", sparsity=2, m=8, delta=1e-6)
-    estimate, queries = congo_step(cfg, oracle, np.zeros(12), rng)
-    assert queries == 9
+    estimate = congo_step(cfg, oracle, np.zeros(12), rng)
+    assert oracle.queries == 9
     assert not estimate.clipped
     assert np.allclose(estimate.vector, g, atol=1e-5)
 
@@ -180,7 +193,7 @@ def test_congo_step_clips_when_cap_is_tight():
     cfg = cfg_for(
         "congo-e", sparsity=1, m=4, smoothness=SmoothnessProfile(lipschitz=0.0, smoothness=0.0)
     )
-    estimate, _ = congo_step(cfg, oracle, np.zeros(6), rng)
+    estimate = congo_step(cfg, oracle, np.zeros(6), rng)
     assert estimate.clipped
     assert np.array_equal(estimate.vector, np.zeros(6))
 
@@ -194,8 +207,8 @@ def test_congo_b_step_uses_averaged_combined_queries():
     g[[1, 4]] = (1.0, -1.0)
     oracle = ValueOracle(lambda x: float(g @ x))
     cfg = cfg_for("congo-b", sparsity=2, m=6, k=11, delta=1e-6)
-    estimate, queries = congo_step(cfg, oracle, np.zeros(10), rng)
-    assert queries == 12
+    estimate = congo_step(cfg, oracle, np.zeros(10), rng)
+    assert oracle.queries == 12
     assert not estimate.clipped
     top_two = set(np.argsort(np.abs(estimate.vector))[-2:])
     assert top_two == {1, 4}
@@ -208,8 +221,8 @@ def test_congo_b_interference_shrinks_with_averaging():
     rng = np.random.default_rng(2)
     oracle = ValueOracle(lambda x: float(g @ x))
     cfg = cfg_for("congo-b", sparsity=2, m=6, k=2000, delta=1e-6)
-    estimate, queries = congo_step(cfg, oracle, np.zeros(10), rng)
-    assert queries == 2001
+    estimate = congo_step(cfg, oracle, np.zeros(10), rng)
+    assert oracle.queries == 2001
     assert np.linalg.norm(estimate.vector - g) < 0.15
 
 
@@ -217,8 +230,8 @@ def test_gdsp_step_query_count():
     rng = np.random.default_rng(0)
     oracle = ValueOracle(lambda x: float(np.sum(x)))
     cfg = cfg_for("gdsp", m=5)
-    estimate, queries = gdsp_step(cfg, oracle, np.zeros(7), rng)
-    assert queries == 6
+    estimate = gdsp_step(cfg, oracle, np.zeros(7), rng)
+    assert oracle.queries == 6
     assert estimate.vector.shape == (7,)
     assert not estimate.clipped
 
@@ -227,8 +240,8 @@ def test_nsgd_step_is_exact_on_linear_functions():
     rng = np.random.default_rng(0)
     g = np.array([1.0, -2.0, 0.5])
     oracle = ValueOracle(lambda x: float(g @ x))
-    estimate, queries = nsgd_step(cfg_for("nsgd"), oracle, np.zeros(3), rng)
-    assert queries == 4
+    estimate = nsgd_step(cfg_for("nsgd"), oracle, np.zeros(3), rng)
+    assert oracle.queries == 4
     assert np.allclose(estimate.vector, g, atol=1e-9)
 
 
@@ -261,6 +274,14 @@ def test_run_online_offset_applies_on_clipped_rounds():
     # estimate is zero but the known offset still drives descent: 5 -> 4 -> 3
     assert records[1].x[0] == pytest.approx(4.0)
     assert records[2].x[0] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("name", ["nsgd", "gdsp"])
+def test_dense_estimators_stop_at_the_first_non_finite_query(name):
+    env = NaNFromThirdQueryEnv(np.array([1.0, -1.0, 0.5, 2.0]))
+    records = run_online(cfg_for(name, m=5), env, 2, seed=0)
+    assert all(r.clipped and r.queries == 3 for r in records)
+    assert np.array_equal(records[1].x, records[0].x)  # a clipped round takes no step
 
 
 def test_run_online_handles_unstable_cost_rounds():

@@ -1,5 +1,8 @@
 """Spec-file parsing, preset resolution, and sweep expansion."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -189,10 +192,30 @@ def test_spec_error_messages_name_the_field(tmp_path):
         load_spec(not_ini)
 
 
+def test_readme_scenario_examples_load(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 2
+    specs = [load_spec(write(tmp_path, block, name=f"readme-{i}.cfg")) for i, block in enumerate(blocks)]
+    assert [spec.kind for spec in specs] == ["quadratic", "jackson"]
+    for spec in specs:
+        spec.validate()
+        spec.make_environment()
+
+
 def test_auto_bounds_refused_outside_the_quadratic(tmp_path):
     bad = JACKSON_SPEC.replace("lipschitz = 6.0", "lipschitz = auto")
     with pytest.raises(ConfigurationError, match="auto"):
         load_spec(write(tmp_path, bad))
+
+
+def test_rate_segments_must_reach_the_last_round(tmp_path):
+    short = JACKSON_SPEC.replace("rounds = 10", "rounds = 12")
+    with pytest.raises(ConfigurationError, match=r"\[workload\] segments: end at round 10"):
+        load_spec(write(tmp_path, short))
+    gap = JACKSON_SPEC.replace("6-10:3.0", "7-10:3.0")
+    with pytest.raises(ConfigurationError, match="without gaps"):
+        load_spec(write(tmp_path, gap, name="gap.cfg"))
 
 
 def test_overrides_apply_to_everything_but_gd(tmp_path):
