@@ -57,22 +57,30 @@ class Topology:
         return tuple(self.routes)
 
 
-def _check_mix(mix: dict[str, float], names: tuple[str, ...]):
+def _check_rate(rate: float, field: str):
+    if rate <= 0 or not math.isfinite(rate):
+        raise ConfigurationError(f"{field} must be finite and > 0, got {rate}")
+
+
+def _check_mix(mix: dict[str, float], names: tuple[str, ...], field: str):
     total = 0.0
     for name, prob in mix.items():
         if name not in names:
-            raise ConfigurationError(f"mix references unknown job type {name!r}")
+            raise ConfigurationError(f"{field} references unknown job type {name!r}")
         if prob < 0:
-            raise ConfigurationError(f"mix probability for {name!r} is negative")
+            raise ConfigurationError(f"{field} probability for {name!r} is negative")
         total += prob
     if abs(total - 1.0) > 1e-9:
-        raise ConfigurationError(f"mix probabilities sum to {total}, expected 1")
+        raise ConfigurationError(f"{field} probabilities sum to {total}, expected 1")
 
 
 @dataclass(frozen=True)
 class FixedWorkload:
     rate: float
     mix: dict[str, float]
+
+    def __post_init__(self):
+        _check_rate(self.rate, "[workload] rate")
 
     def at(self, t: int) -> tuple[float, dict[str, float]]:
         return self.rate, self.mix
@@ -93,7 +101,8 @@ class VariableRateWorkload:
         if not self.segments:
             raise ConfigurationError("need at least one rate segment")
         expected = 1
-        for first, last, _ in self.segments:
+        for first, last, rate in self.segments:
+            _check_rate(rate, f"[workload] segments: rate of segment {first}-{last}")
             if first != expected:
                 raise ConfigurationError(
                     f"rate segment {first}-{last} starts at round {first}, expected {expected}:"
@@ -121,6 +130,7 @@ class VariableMixWorkload:
     end_round: int
 
     def __post_init__(self):
+        _check_rate(self.rate, "[workload] rate")
         if self.end_round <= self.start_round:
             raise ConfigurationError("mix transition needs end_round > start_round")
 
@@ -175,8 +185,7 @@ def simulate_window(
     completes its full route during the next measure_seconds contributes its
     end-to-end sojourn. Zero such departures marks the window unstable.
     """
-    if rate <= 0 or not math.isfinite(rate):
-        raise ConfigurationError(f"arrival rate must be finite and > 0, got {rate}")
+    _check_rate(rate, "arrival rate")
     allocation = np.asarray(allocation, dtype=float)
     if allocation.shape != (topology.num_queues,):
         raise ConfigurationError(
@@ -185,7 +194,7 @@ def simulate_window(
     if not np.all(np.isfinite(allocation)):
         raise ConfigurationError("allocation must be finite")
     names = topology.job_names
-    _check_mix(mix, names)
+    _check_mix(mix, names, "mix")
     service_rate = np.maximum(allocation, 0.0) + SERVICE_RATE_FLOOR
     mean_service = 1.0 / service_rate
     horizon = sim_cfg.warmup_seconds + sim_cfg.measure_seconds

@@ -9,7 +9,6 @@ reproduce byte-identical raw CSVs.
 
 from __future__ import annotations
 
-import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,8 +19,6 @@ import numpy as np
 
 from .core import ConfigurationError
 from .optimizers import OptimizerConfig, run_online
-
-log = logging.getLogger(__name__)
 
 RAW_COLUMNS = ("optimizer", "seed", "round", "cost", "cum_cost", "queries", "grad_error", "clipped")
 AGGREGATE_COLUMNS = ("optimizer", "round", "mean_cum_cost", "std_cum_cost")
@@ -69,7 +66,7 @@ class SweepPlan:
 
 @dataclass
 class RunResult:
-    """One optimizer/seed trajectory, or the error that cut it short."""
+    """One optimizer/seed trajectory."""
 
     optimizer: str
     seed: int
@@ -78,11 +75,6 @@ class RunResult:
     queries: np.ndarray
     grad_errors: np.ndarray | None  # None when the environment has no exact gradient
     clipped: np.ndarray
-    error: str | None = None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
 
 
 @dataclass
@@ -91,13 +83,10 @@ class ResultTable:
     runs: list[RunResult] = field(default_factory=list)
 
     def optimizers(self) -> list[str]:
-        return sorted({run.optimizer for run in self.runs if not run.failed})
+        return sorted({run.optimizer for run in self.runs})
 
-    def completed(self, optimizer: str) -> list[RunResult]:
-        return [r for r in self.runs if r.optimizer == optimizer and not r.failed]
-
-    def failures(self) -> list[RunResult]:
-        return [r for r in self.runs if r.failed]
+    def runs_of(self, optimizer: str) -> list[RunResult]:
+        return [r for r in self.runs if r.optimizer == optimizer]
 
     def aggregate(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per optimizer: (mean, std) of the cumulative-cost curve over seeds.
@@ -108,7 +97,7 @@ class ResultTable:
         """
         out = {}
         for name in self.optimizers():
-            stack = np.stack([run.cum_costs for run in self.completed(name)])
+            stack = np.stack([run.cum_costs for run in self.runs_of(name)])
             out[name] = (stack.mean(axis=0), stack.std(axis=0))
         return out
 
@@ -121,10 +110,10 @@ def run_experiment(
 ) -> ResultTable:
     """Run the full (optimizer x seed) grid and write artifacts.
 
-    One failed run is recorded on the table and the rest continue. With
-    output_dir set, writes raw.csv + aggregate.csv (+ plot.svg unless plot is
-    False) into it. Workers each build their own environment instance, so
-    thread fan-out never shares simulator state.
+    A run that raises stops the grid: the error propagates and nothing is
+    written. With output_dir set, writes raw.csv + aggregate.csv (+ plot.svg
+    unless plot is False) into it. Workers each build their own environment
+    instance, so thread fan-out never shares simulator state.
     """
     spec.validate()
     if jobs < 1:
@@ -133,12 +122,7 @@ def run_experiment(
 
     def play(task) -> RunResult:
         cfg, seed = task
-        try:
-            records = run_online(cfg, spec.make_environment(), spec.horizon, seed)
-        except Exception as exc:  # noqa: BLE001 - a lost run must not sink the rest
-            log.warning("run failed (%s, seed %d): %s", cfg.name, seed, exc)
-            empty = np.array([])
-            return RunResult(cfg.name, seed, empty, empty, empty, None, empty, error=str(exc))
+        records = run_online(cfg, spec.make_environment(), spec.horizon, seed)
         costs = np.array([r.cost for r in records])
         errors = np.array(
             [np.nan if r.grad_error is None else r.grad_error for r in records]
@@ -159,8 +143,6 @@ def run_experiment(
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(play, tasks))
     table = ResultTable(horizon=spec.horizon, runs=sorted(results, key=lambda r: (r.optimizer, r.seed)))
-    for failure in table.failures():
-        log.warning("recorded failure: %s seed %d: %s", failure.optimizer, failure.seed, failure.error)
     if output_dir is not None:
         output_dir = Path(output_dir)
         output_dir.mkdir(parents=True, exist_ok=True)
@@ -198,11 +180,8 @@ def emit_csv(table: ResultTable, raw_path: str | Path, aggregate_path: str | Pat
     unstable round's cost is the text nan while cum_cost carries the running
     sum over the stable rounds. clipped is 1 or 0.
     """
-    rows_written = 0
     lines = [",".join(RAW_COLUMNS)]
     for run in table.runs:
-        if run.failed:
-            continue
         for t in range(table.horizon):
             err = "" if run.grad_errors is None else _fmt(run.grad_errors[t])
             lines.append(
@@ -210,9 +189,6 @@ def emit_csv(table: ResultTable, raw_path: str | Path, aggregate_path: str | Pat
                 f"{_fmt(run.cum_costs[t])},{int(run.queries[t])},{err},"
                 f"{int(run.clipped[t])}"
             )
-            rows_written += 1
-    if rows_written == 0:
-        raise ConfigurationError("result table has no completed runs; nothing to write")
     Path(raw_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     agg_lines = [",".join(AGGREGATE_COLUMNS)]
@@ -225,10 +201,9 @@ def emit_csv(table: ResultTable, raw_path: str | Path, aggregate_path: str | Pat
 def emit_sweep_csv(plan: SweepPlan, results, path: str | Path) -> None:
     """Per (value, optimizer): mean/std of gradient error and mean final cost."""
     lines = [",".join(SWEEP_COLUMNS)]
-    wrote = 0
     for value, table in results:
         for name in table.optimizers():
-            runs = table.completed(name)
+            runs = table.runs_of(name)
             errs = np.concatenate(
                 [r.grad_errors[~np.isnan(r.grad_errors)] for r in runs if r.grad_errors is not None]
             ) if any(r.grad_errors is not None for r in runs) else np.array([])
@@ -236,9 +211,6 @@ def emit_sweep_csv(plan: SweepPlan, results, path: str | Path) -> None:
             std_err = _fmt(errs.std()) if errs.size else ""
             final = _fmt(np.mean([r.cum_costs[-1] for r in runs]))
             lines.append(f"{plan.parameter},{value},{name},{mean_err},{std_err},{final}")
-            wrote += 1
-    if wrote == 0:
-        raise ConfigurationError("sweep produced no completed runs; nothing to write")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -263,8 +235,6 @@ _ML, _MR, _MT, _MB = 78, 24, 24, 56
 def emit_plot(table: ResultTable, path: str | Path) -> None:
     """Standalone SVG: mean cumulative cost per optimizer with a ±1 std band."""
     aggregate = table.aggregate()
-    if not aggregate:
-        raise ConfigurationError("result table has no completed runs; nothing to plot")
     rounds = np.arange(1, table.horizon + 1)
     lo = min(float(np.min(mean - std)) for mean, std in aggregate.values())
     hi = max(float(np.max(mean + std)) for mean, std in aggregate.values())

@@ -32,6 +32,7 @@ from .core import (
 )
 from .recovery import RecoveryConfig, basis_pursuit, cosamp, postprocess, rescale
 from .sensing import (
+    _DISTRIBUTIONS,
     ValueOracle,
     draw_matrix,
     forward_differences,
@@ -113,6 +114,11 @@ class OptimizerConfig:
             raise ConfigurationError("m and sparsity must be >= 1")
         if self.k is not None and self.k < 1:
             raise ConfigurationError("averaging count must be >= 1")
+        if self.distribution is not None and self.distribution not in _DISTRIBUTIONS:
+            raise ConfigurationError(
+                f"distribution {self.distribution!r} is not one of {', '.join(_DISTRIBUTIONS)}"
+            )
+        self.recovery_config()  # rejects a bad recovery tolerance or iteration cap
 
     def matrix_distribution(self) -> str:
         if self.distribution is not None:

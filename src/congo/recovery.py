@@ -27,8 +27,10 @@ class RecoveryConfig:
     def __post_init__(self):
         if self.sparsity < 1:
             raise ConfigurationError(f"sparsity must be >= 1, got {self.sparsity}")
-        if self.tolerance <= 0 or self.max_iterations < 1:
-            raise ConfigurationError("tolerance must be > 0 and max_iterations >= 1")
+        if self.tolerance <= 0:
+            raise ConfigurationError(f"tolerance must be > 0, got {self.tolerance}")
+        if self.max_iterations < 1:
+            raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .env_jackson import (
     Topology,
     VariableMixWorkload,
     VariableRateWorkload,
+    _check_mix,
 )
 from .env_quadratic import QuadraticAdversary, QuadraticAdversaryConfig, smoothness_bounds
 from .harness import ExperimentSpec, SweepPlan
@@ -190,8 +191,6 @@ def _read_file(path: Path) -> configparser.ConfigParser:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}: not a valid spec file ({exc})")
     return parser
@@ -216,19 +215,36 @@ def load_spec(path: str | Path, overrides: dict[str, object] | None = None) -> E
     horizon = exp.integer("rounds")
     seeds = parse_seed_list(exp.require("seeds"))
     opt_names = exp.require("optimizers").replace(",", " ").split()
-    if len(set(opt_names)) != len(opt_names):
-        raise ConfigurationError("[experiment] optimizers: duplicate optimizer name")
     for opt in opt_names:
         if opt not in ALL_OPTIMIZERS:
             raise ConfigurationError(
                 f"[experiment] optimizers: unknown optimizer {opt!r}"
                 f" (known: {', '.join(ALL_OPTIMIZERS)})"
             )
+    if kind == "jackson" and "gd" in opt_names:
+        raise ConfigurationError(
+            "[experiment] optimizers: gd needs exact gradients, and a jackson network has none"
+        )
 
     if kind == "quadratic":
         make_env, dim, radius = _build_quadratic(parser)
     else:
         make_env, dim, radius = _build_jackson(parser, horizon)
+
+    optimizers = [
+        _build_optimizer(parser, opt, kind, dim, radius, overrides or {}) for opt in opt_names
+    ]
+    sweep = _read_sweep(parser) if parser.has_section("sweep") else None
+    spec = ExperimentSpec(
+        name=name,
+        kind=kind,
+        make_environment=make_env,
+        optimizers=optimizers,
+        horizon=horizon,
+        seeds=seeds,
+        sweep=sweep,
+    )
+    spec.validate()
 
     known = {"experiment", "quadratic", "topology", "workload", "simulation", "sweep"}
     for section in parser.sections():
@@ -242,20 +258,7 @@ def load_spec(path: str | Path, overrides: dict[str, object] | None = None) -> E
                 )
         else:
             raise ConfigurationError(f"unknown section [{section}]")
-
-    optimizers = [
-        _build_optimizer(parser, opt, kind, dim, radius, overrides or {}) for opt in opt_names
-    ]
-    sweep = _read_sweep(parser) if parser.has_section("sweep") else None
-    return ExperimentSpec(
-        name=name,
-        kind=kind,
-        make_environment=make_env,
-        optimizers=optimizers,
-        horizon=horizon,
-        seeds=seeds,
-        sweep=sweep,
-    )
+    return spec
 
 
 def _build_quadratic(parser):
@@ -325,6 +328,9 @@ def _build_jackson(parser, horizon):
         raise ConfigurationError(
             f"[workload] kind: {wkind!r} is not fixed, variable-rate, or variable-mix"
         )
+    # every mix the schedule returns is one of these or a blend of the two
+    for key in ("initial_mix", "final_mix") if wkind == "variable-mix" else ("mix",):
+        _check_mix(getattr(schedule, key), topology.job_names, f"[workload] {key}")
 
     sim = _Section.of(parser, "simulation")
     sim_cfg = SimConfig(
@@ -382,8 +388,7 @@ def _build_optimizer(parser, opt_name, kind, dim, radius, overrides) -> Optimize
         )
 
     k = None if sec.raw("k", "") in ("", "auto") else sec.integer("k", 1)
-    return OptimizerConfig(
-        name=opt_name,
+    fields = dict(
         schedule=parse_learning_rate(sec.require("learning_rate")),
         delta=sec.floating("delta"),
         sparsity=sparsity,
@@ -395,6 +400,10 @@ def _build_optimizer(parser, opt_name, kind, dim, radius, overrides) -> Optimize
         recovery_max_iterations=sec.integer("recovery_max_iterations", 50),
         distribution=sec.raw("distribution") or None,
     )
+    try:
+        return OptimizerConfig(name=opt_name, **fields)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[{sec.name}] {exc}") from None
 
 
 def _read_sweep(parser) -> tuple[str, tuple[float, ...]]:

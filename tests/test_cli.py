@@ -1,15 +1,18 @@
 """Command-line exit codes."""
 
+import re
+
+import pytest
+
+from congo import cli
 from congo.cli import main
 
-# gd needs an exact gradient, which the queueing environment cannot give, so
-# every gd run fails while the congo-e runs complete
-PARTLY_FAILING = """
+JACKSON = """
 [experiment]
 kind = jackson
 rounds = 2
 seeds = 0
-optimizers = congo-e gd
+optimizers = congo-e
 
 [topology]
 queues = 2
@@ -33,18 +36,65 @@ lipschitz = 6.0
 smoothness = 1.0
 """
 
+WORKLOAD = "[workload]\nrate = 2.0\nmix = a:1.0\n"
+RATE_SEGMENTS = "[workload]\nkind = variable-rate\nsegments = 1-1:2.0 2-2:0\nmix = a:1.0\n"
+MIX_DRIFT = (
+    "[workload]\nkind = variable-mix\nrate = 2.0\ninitial_mix = a:1.0\nfinal_mix = a:0.4\n"
+    "start_round = 1\nend_round = 2\n"
+)
+OPT = "smoothness = 1.0"
 
-def test_failed_runs_make_run_and_sweep_exit_1(tmp_path, capsys):
-    spec = tmp_path / "partly-failing.cfg"
-    spec.write_text(PARTLY_FAILING)
-    assert main(["run", str(spec), "--out", str(tmp_path / "run"), "--no-plot"]) == 1
-    assert "warning: gd seed 0 failed" in capsys.readouterr().err
-    raw = (tmp_path / "run" / "raw.csv").read_text().splitlines()
-    assert len(raw) == 1 + 2  # header plus the congo-e rounds: artifacts are still written
+# spec errors that would otherwise surface only inside a run: (text of JACKSON
+# to replace, its replacement, pattern the error message must match)
+BAD_SPECS = {
+    "zero-rate": ("rate = 2.0", "rate = 0", r"\[workload\] rate must be finite and > 0"),
+    "mix-short": ("mix = a:1.0", "mix = a:0.5", r"\[workload\] mix probabilities sum to 0.5"),
+    "mix-unknown-job": (
+        "mix = a:1.0", "mix = b:1.0", r"\[workload\] mix references unknown job type 'b'"
+    ),
+    "zero-tolerance": (
+        OPT, OPT + "\nrecovery_tolerance = 0", r"\[optimizer\.congo-e\] tolerance must be > 0"
+    ),
+    "zero-iterations": (
+        OPT, OPT + "\nrecovery_max_iterations = 0", r"\[optimizer\.congo-e\] max_iterations"
+    ),
+    "bogus-distribution": (
+        OPT, OPT + "\ndistribution = bogus", r"\[optimizer\.congo-e\] distribution 'bogus'"
+    ),
+    "gd-on-jackson": (
+        "optimizers = congo-e", "optimizers = congo-e gd", r"\[experiment\] optimizers: gd"
+    ),
+    "zero-segment-rate": (WORKLOAD, RATE_SEGMENTS, r"\[workload\] segments: rate of segment 2-2"),
+    "bad-final-mix": (WORKLOAD, MIX_DRIFT, r"\[workload\] final_mix probabilities sum to 0.4"),
+}
 
-    spec.write_text(PARTLY_FAILING + "\n[sweep]\nparameter = m\nvalues = 1 2\n")
-    assert main(["sweep", str(spec), "--out", str(tmp_path / "sweep")]) == 1
-    assert (tmp_path / "sweep" / "sweep.csv").is_file()
 
-    spec.write_text(PARTLY_FAILING.replace("congo-e gd", "congo-e"))
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_bad_specs_exit_2_before_any_run(case, tmp_path, capsys, monkeypatch):
+    old, new, message = BAD_SPECS[case]
+    assert old in JACKSON
+    spec = tmp_path / f"{case}.cfg"
+    spec.write_text(JACKSON.replace(old, new))
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("a run started"))
+    assert main(["validate", str(spec)]) == 2
+    assert main(["run", str(spec), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line in err:
+        assert line.startswith("error: ") and re.search(message, line), line
+    assert not (tmp_path / "run").exists()
+
+
+def test_gd_on_jackson_makes_run_and_sweep_exit_2(tmp_path, capsys):
+    spec = tmp_path / "gd-on-jackson.cfg"
+    roster = JACKSON.replace("optimizers = congo-e", "optimizers = congo-e gd")
+    spec.write_text(roster)
+    assert main(["run", str(spec), "--out", str(tmp_path / "run"), "--no-plot"]) == 2
+    spec.write_text(roster + "\n[sweep]\nparameter = m\nvalues = 1 2\n")
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "sweep")]) == 2
+    assert "gd needs exact gradients" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "sweep").exists()
+
+    spec.write_text(JACKSON)
     assert main(["run", str(spec), "--out", str(tmp_path / "ok"), "--no-plot"]) == 0
+    assert len((tmp_path / "ok" / "raw.csv").read_text().splitlines()) == 1 + 2

@@ -11,10 +11,6 @@ from congo.harness import (
     RAW_COLUMNS,
     SWEEP_COLUMNS,
     ExperimentSpec,
-    ResultTable,
-    RunResult,
-    emit_csv,
-    emit_plot,
     run_experiment,
     run_sweep,
 )
@@ -111,7 +107,6 @@ def test_run_experiment_grid_and_artifacts(tmp_path):
     table = run_experiment(spec, output_dir=tmp_path)
     assert len(table.runs) == 6
     assert table.optimizers() == ["congo-e", "gd", "gdsp"]
-    assert not table.failures()
     # results arrive sorted regardless of scheduling order
     keys = [(r.optimizer, r.seed) for r in table.runs]
     assert keys == sorted(keys)
@@ -160,7 +155,8 @@ def test_rerun_is_byte_identical_across_thread_counts(tmp_path):
     assert serial == threaded
 
 
-def test_failed_runs_are_recorded_and_skipped(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_run_that_raises_stops_the_experiment(tmp_path, jobs):
     spec = ExperimentSpec(
         name="mixed",
         kind="quadratic",
@@ -169,13 +165,9 @@ def test_failed_runs_are_recorded_and_skipped(tmp_path):
         horizon=4,
         seeds=(0, 1),
     )
-    table = run_experiment(spec, output_dir=tmp_path, plot=False)
-    assert len(table.failures()) == 2
-    assert {r.optimizer for r in table.failures()} == {"gd"}
-    assert table.optimizers() == ["nsgd"]
-    _, rows = read_csv(tmp_path / "raw.csv")
-    assert len(rows) == 2 * 4
-    assert all(row[0] == "nsgd" for row in rows)
+    with pytest.raises(ConfigurationError, match="gd needs an environment with exact gradients"):
+        run_experiment(spec, output_dir=tmp_path, jobs=jobs, plot=False)
+    assert not (tmp_path / "raw.csv").exists()
 
 
 def test_missing_gradient_and_nan_cost_columns(tmp_path):
@@ -195,18 +187,6 @@ def test_missing_gradient_and_nan_cost_columns(tmp_path):
     assert nan_row[5] == "0" and nan_row[7] == "1"
     # cumulative cost skips the unstable round instead of absorbing the NaN
     assert float(rows[2][4]) == pytest.approx(float(rows[0][4]) + float(rows[2][3]))
-
-
-def test_emit_csv_refuses_an_empty_table(tmp_path):
-    table = ResultTable(horizon=3, runs=[
-        RunResult("gd", 0, np.array([]), np.array([]), np.array([]), None, np.array([]),
-                  error="boom")
-    ])
-    with pytest.raises(ConfigurationError):
-        emit_csv(table, tmp_path / "raw.csv", tmp_path / "agg.csv")
-    assert not (tmp_path / "raw.csv").exists()
-    with pytest.raises(ConfigurationError):
-        emit_plot(table, tmp_path / "plot.svg")
 
 
 def test_plot_is_wellformed_svg_with_a_full_legend(tmp_path):
