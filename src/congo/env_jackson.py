@@ -35,20 +35,28 @@ class Topology:
 
     def __post_init__(self):
         if self.num_queues < 1:
-            raise ConfigurationError("need at least one queue")
+            raise ConfigurationError(f"queues: need at least one queue, got {self.num_queues}")
         if not self.routes:
-            raise ConfigurationError("need at least one job type")
+            raise ConfigurationError("route.<job>: need at least one job type")
         if not 0 <= self.entry < self.num_queues:
             raise ConfigurationError(f"entry index {self.entry} out of range")
         clean = {}
         for name, route in self.routes.items():
             route = tuple(int(q) for q in route)
+            key = f"route.{name}"
             if not route:
-                raise ConfigurationError(f"route {name!r} is empty")
+                raise ConfigurationError(f"{key}: the route is empty")
             if route[0] != self.entry:
-                raise ConfigurationError(f"route {name!r} does not start at the entry queue")
-            if any(q < 0 or q >= self.num_queues for q in route):
-                raise ConfigurationError(f"route {name!r} has queue index out of range")
+                raise ConfigurationError(f"{key}: does not start at the entry queue {self.entry}")
+            for q in route:
+                if not 0 <= q < self.num_queues:
+                    raise ConfigurationError(
+                        f"{key}: queue {q} is out of range 0-{self.num_queues - 1}"
+                    )
+            # the simulator frees a queue only after routing its job onward
+            for q, following in zip(route, route[1:]):
+                if q == following:
+                    raise ConfigurationError(f"{key}: visits queue {q} twice in a row")
             clean[str(name)] = route
         object.__setattr__(self, "routes", clean)
 
@@ -155,10 +163,18 @@ class SimConfig:
     upper_bound: float = 60.0
 
     def __post_init__(self):
-        if self.warmup_seconds < 0 or self.measure_seconds <= 0:
-            raise ConfigurationError("warm-up must be >= 0 and measurement span > 0")
+        if not 0 <= self.warmup_seconds < math.inf:
+            raise ConfigurationError(
+                f"warmup_seconds: must be finite and >= 0, got {self.warmup_seconds}"
+            )
+        if not 0 < self.measure_seconds < math.inf:
+            raise ConfigurationError(
+                f"measure_seconds: must be finite and > 0, got {self.measure_seconds}"
+            )
         if self.lower_bound > self.upper_bound:
-            raise ConfigurationError("allocation lower bound exceeds upper bound")
+            raise ConfigurationError(
+                f"lower_bound: {self.lower_bound} exceeds upper_bound {self.upper_bound}"
+            )
 
 
 @dataclass(frozen=True)
@@ -184,6 +200,12 @@ def simulate_window(
     The network starts empty, warms up for warmup_seconds, then every job that
     completes its full route during the next measure_seconds contributes its
     end-to-end sojourn. Zero such departures marks the window unstable.
+
+    Service times come from one block of standard exponentials, one per route
+    visit of the window's jobs, scaled by the queue's mean service time when a
+    service starts. Afterwards the generator is rewound and advanced by exactly
+    the draws used, so it ends where one rng.exponential call per service start
+    would leave it, and the window's values are the same bit for bit.
     """
     _check_rate(rate, "arrival rate")
     allocation = np.asarray(allocation, dtype=float)
@@ -205,54 +227,75 @@ def simulate_window(
         return LatencyObservation(mean_latency=float("nan"), departures=0)
     probs = np.array([mix.get(name, 0.0) for name in names])
     routes = [topology.routes[name] for name in names]
-    job_type = rng.choice(len(names), size=n, p=probs)
+    job_route = [routes[k] for k in rng.choice(len(names), size=n, p=probs).tolist()]
 
-    stage = np.zeros(n, dtype=np.int64)
+    # every route visit starts one service, so the window needs at most cap draws
+    cap = sum(map(len, job_route))
+    saved_state = rng.bit_generator.state
+    draws = rng.standard_exponential(cap).tolist()
+    used = 0
+
+    arrival_times = arrivals.tolist()
+    mean_service = mean_service.tolist()
+    entry = topology.entry
+    stage = [0] * n
     waiting = [deque() for _ in range(topology.num_queues)]
     in_service = [-1] * topology.num_queues
     heap: list[tuple[float, int, int]] = []
+    heappush, heappop = heapq.heappush, heapq.heappop
     seq = 0
     next_arrival = 0
+    arrival_time = arrival_times[0]
     measure_start = sim_cfg.warmup_seconds
     total_sojourn = 0.0
     departures = 0
-    exponential = rng.exponential
-
-    def begin_service(queue: int, job: int, now: float):
-        nonlocal seq
-        in_service[queue] = job
-        seq += 1
-        heapq.heappush(heap, (now + exponential(mean_service[queue]), seq, queue))
-
-    def enqueue(queue: int, job: int, now: float):
-        if in_service[queue] < 0:
-            begin_service(queue, job, now)
-        else:
-            waiting[queue].append(job)
 
     while True:
-        arrival_time = arrivals[next_arrival] if next_arrival < n else math.inf
         completion_time = heap[0][0] if heap else math.inf
-        if min(arrival_time, completion_time) > horizon:
-            break
         if arrival_time <= completion_time:  # ties: arrivals join before services finish
+            if arrival_time > horizon:
+                break
             job = next_arrival
             next_arrival += 1
-            enqueue(topology.entry, job, arrival_time)
+            if in_service[entry] < 0:
+                in_service[entry] = job
+                seq += 1
+                heappush(heap, (arrival_time + draws[used] * mean_service[entry], seq, entry))
+                used += 1
+            else:
+                waiting[entry].append(job)
+            arrival_time = arrival_times[next_arrival] if next_arrival < n else math.inf
         else:
-            now, _, queue = heapq.heappop(heap)
+            if completion_time > horizon:
+                break
+            now, _, queue = heappop(heap)
             job = in_service[queue]
-            in_service[queue] = -1
-            stage[job] += 1
-            route = routes[job_type[job]]
-            if stage[job] == len(route):
+            visits = stage[job] + 1
+            stage[job] = visits
+            route = job_route[job]
+            if visits == len(route):
                 if now >= measure_start:
-                    total_sojourn += now - arrivals[job]
+                    total_sojourn += now - arrival_times[job]
                     departures += 1
             else:
-                enqueue(route[stage[job]], job, now)
+                target = route[visits]  # never queue: Topology rejects repeats in a row
+                if in_service[target] < 0:
+                    in_service[target] = job
+                    seq += 1
+                    heappush(heap, (now + draws[used] * mean_service[target], seq, target))
+                    used += 1
+                else:
+                    waiting[target].append(job)
             if waiting[queue]:
-                begin_service(queue, waiting[queue].popleft(), now)
+                in_service[queue] = waiting[queue].popleft()
+                seq += 1
+                heappush(heap, (now + draws[used] * mean_service[queue], seq, queue))
+                used += 1
+            else:
+                in_service[queue] = -1
+
+    rng.bit_generator.state = saved_state
+    rng.standard_exponential(used)
 
     if departures == 0:
         return LatencyObservation(mean_latency=float("nan"), departures=0)

@@ -51,12 +51,17 @@ class QuadraticAdversaryConfig:
     def __post_init__(self):
         if not 1 <= self.sparsity <= self.dimension:
             raise ConfigurationError(
-                f"need 1 <= sparsity <= dimension, got {self.sparsity}/{self.dimension}"
+                f"sparsity: need 1 <= sparsity <= dimension, got {self.sparsity}/{self.dimension}"
             )
-        if self.radius <= 0 or self.noise_sigma < 0 or self.approx_scale < 0:
-            raise ConfigurationError("radius must be > 0; sigma and approx_scale >= 0")
+        if not self.radius > 0:
+            raise ConfigurationError(f"radius: must be > 0, got {self.radius}")
+        for key in ("noise_sigma", "approx_scale"):
+            if not getattr(self, key) >= 0:
+                raise ConfigurationError(f"{key}: must be >= 0, got {getattr(self, key)}")
         if not 0.0 <= self.start_fraction <= 1.0:
-            raise ConfigurationError("start_fraction must lie in [0, 1]")
+            raise ConfigurationError(
+                f"start_fraction: must lie in [0, 1], got {self.start_fraction}"
+            )
 
 
 def smoothness_bounds(radius: float, sparsity: int) -> SmoothnessProfile:

@@ -41,6 +41,34 @@ PRESET_ENV_VAR = "CONGO_PRESET_DIR"
 # optimizer keys a [sweep] section may rewrite
 SWEEPABLE = ("m", "sparsity", "k", "delta")
 
+# the keys each section accepts; [topology] takes queues and route.<job>
+_EXPERIMENT_KEYS = {"kind", "name", "rounds", "seeds", "optimizers"}
+_QUADRATIC_KEYS = {
+    "dimension",
+    "sparsity",
+    "radius",
+    "noise_sigma",
+    "fixed_constant",
+    "approx_scale",
+    "fixed_support",
+    "start_fraction",
+}
+_WORKLOAD_KEYS = {
+    "fixed": {"kind", "rate", "mix"},
+    "variable-rate": {"kind", "segments", "mix"},
+    "variable-mix": {"kind", "rate", "initial_mix", "final_mix", "start_round", "end_round"},
+}
+_SIMULATION_KEYS = {
+    "warmup_seconds",
+    "measure_seconds",
+    "resource_weight",
+    "correction_factor",
+    "lower_bound",
+    "upper_bound",
+    "initial_allocation",
+    "initial_entry_allocation",
+}
+_SWEEP_KEYS = {"parameter", "values"}
 _OPTIMIZER_KEYS = {
     "learning_rate",
     "delta",
@@ -141,6 +169,13 @@ class _Section:
     def keys(self):
         return self._data.keys()
 
+    def reject_unknown(self, known: set[str]) -> None:
+        for key in self._data:
+            if key not in known:
+                raise ConfigurationError(
+                    f"[{self.name}] {key}: unknown key (known: {', '.join(sorted(known))})"
+                )
+
     def raw(self, key: str, default: str | None = None) -> str | None:
         value = self._data.get(key, default)
         return value.strip() if isinstance(value, str) else value
@@ -186,6 +221,14 @@ class _Section:
         return states[lowered]
 
 
+def _build(section: str, cls, **fields):
+    """cls(**fields), naming the spec section in any error the class raises."""
+    try:
+        return cls(**fields)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[{section}] {exc}") from None
+
+
 def _read_file(path: Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -205,9 +248,14 @@ def load_spec(path: str | Path, overrides: dict[str, object] | None = None) -> E
     """
     path = Path(path)
     parser = _read_file(path)
+    if parser.defaults():
+        raise ConfigurationError(
+            f"{path}: [DEFAULT] is not supported: its keys would join every section"
+        )
     if not parser.has_section("experiment"):
         raise ConfigurationError(f"{path}: missing [experiment] section")
     exp = _Section.of(parser, "experiment")
+    exp.reject_unknown(_EXPERIMENT_KEYS)
     kind = exp.require("kind")
     if kind not in ("quadratic", "jackson"):
         raise ConfigurationError(f"[experiment] kind: {kind!r} is not quadratic or jackson")
@@ -265,8 +313,11 @@ def _build_quadratic(parser):
     sec = _Section.of(parser, "quadratic")
     if not parser.has_section("quadratic"):
         raise ConfigurationError("missing [quadratic] section")
+    sec.reject_unknown(_QUADRATIC_KEYS)
     raw_constant = sec.raw("fixed_constant")
-    cfg = QuadraticAdversaryConfig(
+    cfg = _build(
+        "quadratic",
+        QuadraticAdversaryConfig,
         dimension=sec.integer("dimension"),
         sparsity=sec.integer("sparsity"),
         radius=sec.floating("radius"),
@@ -288,7 +339,9 @@ def _build_jackson(parser, horizon):
     for key in topo_sec.keys():
         if not key.startswith("route."):
             if key != "queues":
-                raise ConfigurationError(f"[topology] {key}: unknown key")
+                raise ConfigurationError(
+                    f"[topology] {key}: unknown key (known: queues, route.<job>)"
+                )
             continue
         job = key[len("route."):]
         tokens = topo_sec.require(key).split()
@@ -296,12 +349,17 @@ def _build_jackson(parser, horizon):
             routes[job] = tuple(int(q) for q in tokens)
         except ValueError:
             raise ConfigurationError(f"[topology] {key}: route must be queue indices")
-    topology = Topology(num_queues=num_queues, routes=routes)
+    topology = _build("topology", Topology, num_queues=num_queues, routes=routes)
 
     if not parser.has_section("workload"):
         raise ConfigurationError("missing [workload] section")
     work = _Section.of(parser, "workload")
     wkind = work.text("kind", "fixed")
+    if wkind not in _WORKLOAD_KEYS:
+        raise ConfigurationError(
+            f"[workload] kind: {wkind!r} is not fixed, variable-rate, or variable-mix"
+        )
+    work.reject_unknown(_WORKLOAD_KEYS[wkind])
     if wkind == "fixed":
         schedule = FixedWorkload(
             rate=work.floating("rate"), mix=_parse_mix("workload", work.require("mix"))
@@ -316,7 +374,7 @@ def _build_jackson(parser, horizon):
             raise ConfigurationError(
                 f"[workload] segments: end at round {last}, before the last round {horizon}"
             )
-    elif wkind == "variable-mix":
+    else:
         schedule = VariableMixWorkload(
             rate=work.floating("rate"),
             initial_mix=_parse_mix("workload", work.require("initial_mix")),
@@ -324,16 +382,15 @@ def _build_jackson(parser, horizon):
             start_round=work.integer("start_round"),
             end_round=work.integer("end_round"),
         )
-    else:
-        raise ConfigurationError(
-            f"[workload] kind: {wkind!r} is not fixed, variable-rate, or variable-mix"
-        )
     # every mix the schedule returns is one of these or a blend of the two
     for key in ("initial_mix", "final_mix") if wkind == "variable-mix" else ("mix",):
         _check_mix(getattr(schedule, key), topology.job_names, f"[workload] {key}")
 
     sim = _Section.of(parser, "simulation")
-    sim_cfg = SimConfig(
+    sim.reject_unknown(_SIMULATION_KEYS)
+    sim_cfg = _build(
+        "simulation",
+        SimConfig,
         warmup_seconds=sim.floating("warmup_seconds", 30.0),
         measure_seconds=sim.floating("measure_seconds", 10.0),
         resource_weight=sim.floating("resource_weight", 1.0),
@@ -343,6 +400,12 @@ def _build_jackson(parser, horizon):
     )
     base = sim.floating("initial_allocation")
     entry_alloc = sim.floating("initial_entry_allocation", base)
+    for key, value in (("initial_allocation", base), ("initial_entry_allocation", entry_alloc)):
+        if not sim_cfg.lower_bound <= value <= sim_cfg.upper_bound:
+            raise ConfigurationError(
+                f"[simulation] {key}: {value} is outside [lower_bound, upper_bound]"
+                f" = [{sim_cfg.lower_bound}, {sim_cfg.upper_bound}]"
+            )
     initial = np.full(num_queues, base)
     initial[topology.entry] = entry_alloc
 
@@ -356,10 +419,8 @@ def _build_optimizer(parser, opt_name, kind, dim, radius, overrides) -> Optimize
     merged: dict[str, str] = {}
     for section in ("optimizer.defaults", f"optimizer.{opt_name}"):
         if parser.has_section(section):
-            for key, value in parser[section].items():
-                if key not in _OPTIMIZER_KEYS:
-                    raise ConfigurationError(f"[{section}] {key}: unknown key")
-                merged[key] = value.strip()
+            _Section.of(parser, section).reject_unknown(_OPTIMIZER_KEYS)
+            merged.update((key, value.strip()) for key, value in parser[section].items())
     for key, value in overrides.items():
         if key not in SWEEPABLE:
             raise ConfigurationError(f"sweep parameter {key!r} is not one of {SWEEPABLE}")
@@ -388,7 +449,10 @@ def _build_optimizer(parser, opt_name, kind, dim, radius, overrides) -> Optimize
         )
 
     k = None if sec.raw("k", "") in ("", "auto") else sec.integer("k", 1)
-    fields = dict(
+    return _build(
+        sec.name,
+        OptimizerConfig,
+        name=opt_name,
         schedule=parse_learning_rate(sec.require("learning_rate")),
         delta=sec.floating("delta"),
         sparsity=sparsity,
@@ -400,14 +464,11 @@ def _build_optimizer(parser, opt_name, kind, dim, radius, overrides) -> Optimize
         recovery_max_iterations=sec.integer("recovery_max_iterations", 50),
         distribution=sec.raw("distribution") or None,
     )
-    try:
-        return OptimizerConfig(name=opt_name, **fields)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"[{sec.name}] {exc}") from None
 
 
 def _read_sweep(parser) -> tuple[str, tuple[float, ...]]:
     sec = _Section.of(parser, "sweep")
+    sec.reject_unknown(_SWEEP_KEYS)
     parameter = sec.require("parameter")
     if parameter not in SWEEPABLE:
         raise ConfigurationError(f"[sweep] parameter: {parameter!r} is not one of {SWEEPABLE}")

@@ -6,11 +6,16 @@ dominates); the M/M/1 calibration against closed-form values lives in the
 acceptance suite.
 """
 
+import heapq
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 
 from congo.core import ConfigurationError
 from congo.env_jackson import (
+    SERVICE_RATE_FLOOR,
     FixedWorkload,
     JacksonEnvironment,
     SimConfig,
@@ -18,10 +23,12 @@ from congo.env_jackson import (
     VariableMixWorkload,
     VariableRateWorkload,
     apply_instability_correction,
+    _poisson_arrivals,
     latency_oracle,
     round_cost,
     simulate_window,
 )
+from congo.scenario import find_preset, load_spec
 
 TANDEM = Topology(num_queues=2, routes={"job1": (0, 1)})
 SINGLE = Topology(num_queues=1, routes={"job1": (0,)})
@@ -47,8 +54,12 @@ def test_topology_validation():
         Topology(num_queues=2, routes={"a": (0, 5)})
     with pytest.raises(ConfigurationError):
         Topology(num_queues=2, routes={"a": (0, 1)}, entry=7)
-    topo = Topology(num_queues=3, routes={"a": (0, 2), "b": (0,)})
-    assert topo.job_names == ("a", "b")
+    with pytest.raises(ConfigurationError, match="route.a: visits queue 0 twice in a row"):
+        Topology(num_queues=2, routes={"a": (0, 0, 1)})
+    with pytest.raises(ConfigurationError, match="route.b: visits queue 1 twice in a row"):
+        Topology(num_queues=2, routes={"a": (0, 1), "b": (0, 1, 1)})
+    topo = Topology(num_queues=3, routes={"a": (0, 2), "b": (0,), "c": (0, 1, 0)})
+    assert topo.job_names == ("a", "b", "c")
 
 
 def test_workload_schedules():
@@ -101,6 +112,10 @@ def test_sim_config_validation():
         SimConfig(warmup_seconds=-1.0)
     with pytest.raises(ConfigurationError):
         SimConfig(lower_bound=5.0, upper_bound=1.0)
+    with pytest.raises(ConfigurationError, match="warmup_seconds"):
+        SimConfig(warmup_seconds=math.inf)  # the first window would fail to size its arrivals
+    with pytest.raises(ConfigurationError, match="measure_seconds"):
+        SimConfig(measure_seconds=math.nan)
 
 
 def test_simulate_window_argument_errors():
@@ -243,3 +258,121 @@ def test_environment_runs_are_reproducible():
         env.begin_round(1)
         costs.append(env.incur(np.array([3.0])))
     assert costs[0] == costs[1]
+
+
+def _per_event_reference(topology, rate, mix, allocation, sim_cfg, rng):
+    """The simulator's event loop as it was when it drew one rng.exponential per service start."""
+    names = topology.job_names
+    service_rate = np.maximum(allocation, 0.0) + SERVICE_RATE_FLOOR
+    mean_service = 1.0 / service_rate
+    horizon = sim_cfg.warmup_seconds + sim_cfg.measure_seconds
+
+    arrivals = _poisson_arrivals(rate, horizon, rng)
+    n = arrivals.shape[0]
+    if n == 0:
+        return float("nan"), 0
+    probs = np.array([mix.get(name, 0.0) for name in names])
+    routes = [topology.routes[name] for name in names]
+    job_type = rng.choice(len(names), size=n, p=probs)
+
+    stage = np.zeros(n, dtype=np.int64)
+    waiting = [deque() for _ in range(topology.num_queues)]
+    in_service = [-1] * topology.num_queues
+    heap = []
+    seq = 0
+    next_arrival = 0
+    measure_start = sim_cfg.warmup_seconds
+    total_sojourn = 0.0
+    departures = 0
+    exponential = rng.exponential
+
+    def begin_service(queue, job, now):
+        nonlocal seq
+        in_service[queue] = job
+        seq += 1
+        heapq.heappush(heap, (now + exponential(mean_service[queue]), seq, queue))
+
+    def enqueue(queue, job, now):
+        if in_service[queue] < 0:
+            begin_service(queue, job, now)
+        else:
+            waiting[queue].append(job)
+
+    while True:
+        arrival_time = arrivals[next_arrival] if next_arrival < n else math.inf
+        completion_time = heap[0][0] if heap else math.inf
+        if min(arrival_time, completion_time) > horizon:
+            break
+        if arrival_time <= completion_time:
+            job = next_arrival
+            next_arrival += 1
+            enqueue(topology.entry, job, arrival_time)
+        else:
+            now, _, queue = heapq.heappop(heap)
+            job = in_service[queue]
+            in_service[queue] = -1
+            stage[job] += 1
+            route = routes[job_type[job]]
+            if stage[job] == len(route):
+                if now >= measure_start:
+                    total_sojourn += now - arrivals[job]
+                    departures += 1
+            else:
+                enqueue(route[stage[job]], job, now)
+            if waiting[queue]:
+                begin_service(queue, waiting[queue].popleft(), now)
+
+    if departures == 0:
+        return float("nan"), 0
+    return total_sojourn / departures, departures
+
+
+JACKSON_PRESETS = [
+    "jackson-complex-fixed",
+    "jackson-complex-varying-rate",
+    "jackson-complex-varying-jobs",
+    "jackson-large-fixed",
+    "jackson-large-varying-rate",
+    "jackson-large-varying-jobs",
+]
+
+
+def _reference_case(case):
+    if case == "no-arrivals":
+        return SINGLE, 1e-9, ONE_JOB, np.array([1.0]), quick_cfg()
+    if case == "no-departures":
+        cfg = quick_cfg(warmup_seconds=0.5, measure_seconds=0.5)
+        return TANDEM, 2.0, ONE_JOB, np.array([0.0, 0.0]), cfg
+    if case == "route-0-1-0":
+        looped = Topology(num_queues=2, routes={"job1": (0, 1, 0)})
+        cfg = quick_cfg(warmup_seconds=5.0, measure_seconds=20.0)
+        return looped, 2.0, ONE_JOB, np.array([3.0, 4.0]), cfg
+    name, _, allocation = case.rpartition("-")
+    env = load_spec(find_preset(name)).make_environment()
+    rate, mix = env.schedule.at(1)
+    lower, upper = env.sim_cfg.lower_bound, env.sim_cfg.upper_bound
+    x = {
+        "initial": env.reset(0),
+        "random": np.random.default_rng(5).uniform(lower, upper, env.dim),
+        "low": np.full(env.dim, lower),  # far below the arrival rate: queues only grow
+    }[allocation]
+    return env.topology, rate, mix, x, env.sim_cfg
+
+
+REFERENCE_CASES = [
+    f"{name}-{allocation}"
+    for name in JACKSON_PRESETS
+    for allocation in ("initial", "random", "low")
+] + ["no-arrivals", "no-departures", "route-0-1-0"]
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_simulate_window_matches_the_per_event_reference(case):
+    topology, rate, mix, x, cfg = _reference_case(case)
+    fast, slow = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(4):  # consecutive windows share the generator, as oracle queries do
+        obs = simulate_window(topology, rate, mix, x, cfg, fast)
+        latency, departures = _per_event_reference(topology, rate, mix, x, cfg, slow)
+        assert obs.departures == departures
+        assert np.array_equal(obs.mean_latency, latency, equal_nan=True)
+        assert fast.bit_generator.state == slow.bit_generator.state

@@ -191,6 +191,42 @@ def test_spec_error_messages_name_the_field(tmp_path):
     with pytest.raises(ConfigurationError, match="spec file"):
         load_spec(not_ini)
 
+    # (spec, text to replace, its replacement, pattern the error message must match)
+    named = [
+        (QUAD_SPEC, "noise_sigma = 0.001", "noise_sgima = 0.1",
+         r"\[quadratic\] noise_sgima: unknown key"),
+        (QUAD_SPEC, "rounds = 40", "rounds = 40\ntpyo = 1", r"\[experiment\] tpyo: unknown key"),
+        (QUAD_SPEC + "\n[sweep]\nparameter = m\nvalues = 5\n", "values = 5", "value = 5",
+         r"\[sweep\] value: unknown key"),
+        (QUAD_SPEC, "radius = 25.0", "radius = 0", r"\[quadratic\] radius: must be > 0"),
+        (QUAD_SPEC, "sparsity = 4\nradius", "sparsity = 31\nradius",
+         r"\[quadratic\] sparsity: need 1 <= sparsity <= dimension"),
+        (JACKSON_SPEC, "mix = alpha", "rate = 2.0\nmix = alpha", r"\[workload\] rate: unknown key"),
+        (JACKSON_SPEC, "measure_seconds = 2", "measure_seconds = 0",
+         r"\[simulation\] measure_seconds: must be finite and > 0"),
+        (JACKSON_SPEC, "warmup_seconds = 1", "warmup_seconds = inf",
+         r"\[simulation\] warmup_seconds: must be finite"),
+        (JACKSON_SPEC, "warmup_seconds = 1", "warmup_second = 1",
+         r"\[simulation\] warmup_second: unknown key"),
+        (JACKSON_SPEC, "warmup_seconds = 1", "warmup_seconds = 1\nupper_bound = 5\nlower_bound = 6",
+         r"\[simulation\] lower_bound: 6.0 exceeds upper_bound 5.0"),
+        (JACKSON_SPEC, "initial_allocation = 4", "initial_allocation = 100",
+         r"\[simulation\] initial_allocation: 100.0 is outside \[lower_bound, upper_bound\]"),
+        (JACKSON_SPEC, "initial_entry_allocation = 7", "initial_entry_allocation = 0.5",
+         r"\[simulation\] initial_entry_allocation: 0.5 is outside"),
+        (JACKSON_SPEC, "queues = 3", "queues = 0", r"\[topology\] queues: need at least one queue"),
+        (JACKSON_SPEC, "route.beta = 0 2 1", "route.beta = 0 2 2 1",
+         r"\[topology\] route.beta: visits queue 2 twice in a row"),
+        (JACKSON_SPEC, "[experiment]", "[DEFAULT]\nnote = 1\n\n[experiment]",
+         r"\[DEFAULT\] is not supported"),
+        (JACKSON_SPEC, "route.beta = 0 2 1", "route.beta = 0 2 3",
+         r"\[topology\] route.beta: queue 3 is out of range"),
+    ]
+    for i, (base, old, new, message) in enumerate(named):
+        assert old in base
+        with pytest.raises(ConfigurationError, match=message):
+            load_spec(write(tmp_path, base.replace(old, new), name=f"named-{i}.cfg"))
+
 
 def test_readme_scenario_examples_load(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
