@@ -75,6 +75,7 @@ from .sensing import (
     forward_differences,
     measure_combined,
     measure_single_row,
+    pointwise,
     prescribe_m,
 )
 

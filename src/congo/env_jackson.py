@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Box, ConfigurationError
-from .sensing import ValueOracle
+from .sensing import ValueOracle, pointwise
 
 SERVICE_RATE_FLOOR = 0.1
 
@@ -170,6 +170,15 @@ class SimConfig:
         if not 0 < self.measure_seconds < math.inf:
             raise ConfigurationError(
                 f"measure_seconds: must be finite and > 0, got {self.measure_seconds}"
+            )
+        if not 0 <= self.resource_weight < math.inf:
+            raise ConfigurationError(
+                f"resource_weight: must be finite and >= 0, got {self.resource_weight}"
+            )
+        # a zero bump would leave an unstable allocation where it is
+        if not 0 < self.correction_factor < math.inf:
+            raise ConfigurationError(
+                f"correction_factor: must be finite and > 0, got {self.correction_factor}"
             )
         if self.lower_bound > self.upper_bound:
             raise ConfigurationError(
@@ -351,7 +360,7 @@ def latency_oracle(
         obs = simulate_window(topology, rate, mix, allocation, sim_cfg, rng)
         return obs.mean_latency
 
-    return ValueOracle(query)
+    return ValueOracle(pointwise(query))
 
 
 class JacksonEnvironment:

@@ -30,8 +30,17 @@ class QuadraticFunction:
     constant: float
 
     def value(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(x @ (self.diag * x) + self.linear @ x + self.constant)
+        return float(self.values(np.asarray(x, dtype=float)[None])[0])
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """f at each row of a (q, d) block.
+
+        The stacked products run one dot product per row, the same kernel
+        as x @ y on a single point, so every row rounds as it would alone.
+        """
+        rows = points[:, None, :]
+        quadratic = (rows @ (points * self.diag)[:, :, None]).ravel()
+        return quadratic + (rows @ self.linear[:, None]).ravel() + self.constant
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * self.diag * np.asarray(x, dtype=float) + self.linear
@@ -146,9 +155,14 @@ class QuadraticAdversary:
         fn = self.current
         sigma = self.cfg.noise_sigma
         if sigma == 0.0:
-            return ValueOracle(fn.value)
+            return ValueOracle(fn.values)
         noise_rng = self._noise_rng
-        return ValueOracle(lambda x: fn.value(x) + noise_rng.normal(0.0, sigma))
+
+        def noisy(points: np.ndarray) -> np.ndarray:
+            # one block of q draws: the same values and stream state as q scalar draws
+            return fn.values(points) + noise_rng.normal(0.0, sigma, size=len(points))
+
+        return ValueOracle(noisy)
 
     def exact_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.current.gradient(x)

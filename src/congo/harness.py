@@ -9,6 +9,7 @@ reproduce byte-identical raw CSVs.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,7 +113,8 @@ def run_experiment(
 
     A run that raises stops the grid: the error propagates and nothing is
     written. With output_dir set, writes raw.csv + aggregate.csv (+ plot.svg
-    unless plot is False) into it. Workers each build their own environment
+    unless plot is False) into it. Runs fan out over min(jobs, os.cpu_count(),
+    number of runs) threads; workers each build their own environment
     instance, so thread fan-out never shares simulator state.
     """
     spec.validate()
@@ -137,10 +139,11 @@ def run_experiment(
             clipped=np.array([r.clipped for r in records], dtype=bool),
         )
 
-    if jobs == 1:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers == 1:
         results = [play(task) for task in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(play, tasks))
     table = ResultTable(horizon=spec.horizon, runs=sorted(results, key=lambda r: (r.optimizer, r.seed)))
     if output_dir is not None:

@@ -8,6 +8,7 @@ scheme. Both operate on the rescaled system (A, y) / sqrt(m).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,7 @@ def _pursuit(
     s = cfg.sparsity
     x = np.zeros(d)
     residual = values.copy()
-    resid_norm = float(np.linalg.norm(residual))
+    resid_norm = math.sqrt(residual.dot(residual))
     stalled = 0
     first = True
     for _ in range(cfg.max_iterations):
@@ -109,8 +110,10 @@ def _pursuit(
             proxy = proxy.copy()
             proxy[list(taboo)] = 0.0
         first = False
-        omega = _largest(proxy, min(2 * s, d))
-        merged = np.union1d(omega, np.flatnonzero(x))
+        # the sorted union of the new candidates and the current support
+        in_merged = x != 0.0
+        in_merged[_largest(proxy, min(2 * s, d))] = True
+        merged = np.flatnonzero(in_merged)
         # minimum-norm least squares keeps rank-deficient supports from blowing up
         coef, *_ = np.linalg.lstsq(matrix[:, merged], values, rcond=None)
         candidate = np.zeros(d)
@@ -122,7 +125,7 @@ def _pursuit(
         x = np.zeros(d)
         x[keep] = refit
         residual = values - matrix @ x
-        new_norm = float(np.linalg.norm(residual))
+        new_norm = math.sqrt(residual.dot(residual))
         stalled = stalled + 1 if new_norm >= resid_norm else 0
         resid_norm = new_norm
         if stalled >= 3:
@@ -166,17 +169,28 @@ def basis_pursuit(
         return RecoveryOutcome(vector=np.zeros(d), dim=d)
 
     step = 1.0 / op_norm
+    matrix_t = matrix.T
     z = np.zeros(d)
     z_bar = np.zeros(d)
     dual = np.zeros(m)
     # no early exit on iterate stall: successive primal iterates move slowly
-    # from the first step, so a stall test would fire before convergence
+    # from the first step, so a stall test would fire before convergence.
+    # Each iteration projects onto two balls; sqrt(v.dot(v)) is what
+    # np.linalg.norm computes for a contiguous vector, to the bit.
     for _ in range(cfg.max_iterations):
         ahead = dual + step * (matrix @ z_bar)
-        dual = ahead - step * _project_ball(ahead / step, values, noise_level)
+        point = ahead / step
+        offset = point - values
+        dist = math.sqrt(offset.dot(offset))
+        if not dist <= noise_level:
+            point = values if noise_level == 0.0 else values + offset * (noise_level / dist)
+        dual = ahead - step * point
         z_prev = z
-        z = _soft_threshold(z - step * (matrix.T @ dual), step)
-        z = _project_ball(z, np.zeros(d), norm_cap)
+        z = _soft_threshold(z - step * (matrix_t @ dual), step)
+        dist = math.sqrt(z.dot(z))
+        if not dist <= norm_cap:
+            # centre 0 + scaled offset: + 0.0 makes every zero entry +0.0
+            z = np.zeros(d) if norm_cap == 0.0 else z * (norm_cap / dist) + 0.0
         z_bar = 2.0 * z - z_prev
 
     # The loop budget is small, so finish by pushing a few cheap candidates onto
@@ -256,16 +270,6 @@ def _min_residual_on_cap(matrix, values, norm_cap) -> tuple[float, np.ndarray | 
 
 def _soft_threshold(vector: np.ndarray, amount: float) -> np.ndarray:
     return np.sign(vector) * np.maximum(np.abs(vector) - amount, 0.0)
-
-
-def _project_ball(point: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    offset = point - center
-    dist = float(np.linalg.norm(offset))
-    if dist <= radius:
-        return point
-    if radius == 0.0:
-        return center.copy()
-    return center + offset * (radius / dist)
 
 
 def postprocess(raw, norm_cap: float) -> GradientEstimate:

@@ -25,28 +25,48 @@ _MAX_REDRAWS = 64
 
 
 class ValueOracle:
-    """Wraps a scalar-valued function and counts the points it is queried at."""
+    """Wraps a batch evaluator and counts the points it is queried at.
 
-    def __init__(self, fn: Callable[[np.ndarray], float]):
-        self._fn = fn
+    The evaluator takes a (q, d) block and returns the values of its first
+    r <= q rows; it may stop early only after a non-finite value.
+    """
+
+    def __init__(self, evaluate: Callable[[np.ndarray], np.ndarray]):
+        self._evaluate = evaluate
         self.queries = 0
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        """The function's value at each row of a (q, d) batch, evaluated in row order.
+        """The function's value at each row of a (q, d) batch.
 
-        Every evaluated point counts as one query. The first non-finite value
-        raises MeasurementError, and the rows after it are never evaluated.
+        Every point up to and including the first non-finite value counts as
+        one query, and that value raises MeasurementError; otherwise all q
+        points count.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
             raise ConfigurationError(f"oracle takes a (q, d) batch, got shape {points.shape}")
-        values = np.empty(points.shape[0])
-        for i, point in enumerate(points):
-            self.queries += 1
-            values[i] = self._fn(point)
-            if not math.isfinite(values[i]):
-                raise MeasurementError(f"oracle returned a non-finite value at batch row {i}")
+        values = np.asarray(self._evaluate(points), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            self.queries += int(bad[0]) + 1
+            raise MeasurementError(f"oracle returned a non-finite value at batch row {bad[0]}")
+        assert values.shape == (points.shape[0],), "evaluator stopped before a non-finite value"
+        self.queries += points.shape[0]
         return values
+
+
+def pointwise(fn: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch evaluator from a per-point function: rows in order, stopping after the first non-finite value."""
+
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        values = []
+        for point in points:
+            values.append(fn(point))
+            if not math.isfinite(values[-1]):
+                break
+        return np.array(values, dtype=float)
+
+    return evaluate
 
 
 @dataclass(frozen=True)

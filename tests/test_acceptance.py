@@ -23,7 +23,7 @@ from congo.harness import ExperimentSpec, run_experiment
 from congo.optimizers import ConstantRate, OptimizerConfig, run_online
 from congo.recovery import RecoveryConfig, cosamp, rescale
 from congo.scenario import find_preset, load_spec
-from congo.sensing import ValueOracle, draw_matrix, measure_single_row, prescribe_m
+from congo.sensing import ValueOracle, draw_matrix, measure_single_row, pointwise, prescribe_m
 
 
 def unit_sparse(rng, d, s):
@@ -104,7 +104,7 @@ def test_criterion_02_single_row_measurement_bound(criterion_report):
         hessian_norm = 2.0 * float(diag.max())
         x = rng.normal(size=d)
         delta = float(rng.uniform(1e-4, 1e-1))
-        oracle = ValueOracle(lambda z: float(z @ (diag * z) + b @ z))
+        oracle = ValueOracle(pointwise(lambda z: float(z @ (diag * z) + b @ z)))
         matrix = draw_matrix(int(rng.integers(2, d + 1)), d, "gaussian", rng)
         y = measure_single_row(oracle, x, matrix, delta)
         err = np.abs(y - matrix.entries @ (2.0 * diag * x + b))

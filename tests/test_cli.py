@@ -66,6 +66,11 @@ BAD_SPECS = {
     ),
     "zero-segment-rate": (WORKLOAD, RATE_SEGMENTS, r"\[workload\] segments: rate of segment 2-2"),
     "bad-final-mix": (WORKLOAD, MIX_DRIFT, r"\[workload\] final_mix probabilities sum to 0.4"),
+    "nan-weight": (
+        "initial_allocation = 4",
+        "initial_allocation = 4\nresource_weight = nan",
+        r"\[simulation\] resource_weight: must be finite and >= 0",
+    ),
 }
 
 

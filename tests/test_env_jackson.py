@@ -116,6 +116,15 @@ def test_sim_config_validation():
         SimConfig(warmup_seconds=math.inf)  # the first window would fail to size its arrivals
     with pytest.raises(ConfigurationError, match="measure_seconds"):
         SimConfig(measure_seconds=math.nan)
+    with pytest.raises(ConfigurationError, match="resource_weight"):
+        SimConfig(resource_weight=math.nan)  # every cost would read nan
+    with pytest.raises(ConfigurationError, match="resource_weight"):
+        SimConfig(resource_weight=-0.5)
+    with pytest.raises(ConfigurationError, match="correction_factor"):
+        SimConfig(correction_factor=0.0)  # a zero bump never leaves an unstable allocation
+    with pytest.raises(ConfigurationError, match="correction_factor"):
+        SimConfig(correction_factor=math.inf)
+    SimConfig(resource_weight=0.0)
 
 
 def test_simulate_window_argument_errors():

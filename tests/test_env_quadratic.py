@@ -1,9 +1,12 @@
 """Random sparse quadratic adversary and its hindsight optimum."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congo.core import ConfigurationError
 from congo.env_quadratic import (
@@ -132,6 +135,47 @@ def test_noiseless_oracle_is_exact():
     x = np.ones(20)
     assert oracle(x[None])[0] == env.incur(x)
     assert oracle.queries == 1
+
+
+def _value_per_point(f, x):
+    """The per-point formula every query used before batches."""
+    return float(x @ (f.diag * x) + f.linear @ x + f.constant)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 120),
+    q=st.integers(1, 80),
+    dense=st.booleans(),
+    sigma=st.sampled_from([0.0, 0.05, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_values_match_the_per_point_formula(d, q, dense, sigma, seed):
+    """Bit for bit, with the noise of a batch drawn as q scalar draws would be."""
+    radius = 100.0
+    env = make_env(
+        dimension=d,
+        sparsity=max(1, d // 10),
+        radius=radius,
+        noise_sigma=sigma,
+        approx_scale=0.1 if dense else 0.0,  # > 0 fills every off-support entry
+    )
+    env.reset(seed)
+    env.begin_round(1)
+    f = env.current
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(q, d))
+    points *= rng.uniform(0.0, radius, size=(q, 1)) / np.linalg.norm(points, axis=1, keepdims=True)
+    per_point = [_value_per_point(f, p) for p in points]
+    assert np.array_equal(f.values(points), per_point)
+    assert f.value(points[-1]) == per_point[-1]
+
+    scalar = copy.deepcopy(env._noise_rng)
+    expected = [v + scalar.normal(0.0, sigma) if sigma else v for v in per_point]
+    oracle = env.oracle()
+    assert np.array_equal(oracle(points), expected)
+    assert oracle.queries == q
+    assert env._noise_rng.bit_generator.state == scalar.bit_generator.state
 
 
 def test_smoothness_bounds_formula():

@@ -1,10 +1,13 @@
 """Experiment runner, CSV artifacts, and the SVG plot."""
 
+import os
 import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from congo import harness
 from congo.core import Ball, Box, ConfigurationError
 from congo.harness import (
     AGGREGATE_COLUMNS,
@@ -15,7 +18,7 @@ from congo.harness import (
     run_sweep,
 )
 from congo.optimizers import ConstantRate, OptimizerConfig
-from congo.sensing import ValueOracle
+from congo.sensing import ValueOracle, pointwise
 
 
 class TinyQuadEnv:
@@ -40,7 +43,7 @@ class TinyQuadEnv:
         return float(x @ x)
 
     def oracle(self):
-        return ValueOracle(lambda x: float(x @ x))
+        return ValueOracle(pointwise(lambda x: float(x @ x)))
 
     def exact_gradient(self, x):
         return 2.0 * np.asarray(x)
@@ -146,13 +149,37 @@ def test_raw_csv_floats_round_trip_exactly(tmp_path):
         assert row[7] in ("0", "1")
 
 
-def test_rerun_is_byte_identical_across_thread_counts(tmp_path):
+def test_rerun_is_byte_identical_across_thread_counts(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # 4 threads on any host
     spec = quad_spec([opt("congo-e"), opt("congo-z")], seeds=(0, 1, 2))
     run_experiment(spec, output_dir=tmp_path / "serial", jobs=1, plot=False)
     run_experiment(spec, output_dir=tmp_path / "threaded", jobs=4, plot=False)
     serial = (tmp_path / "serial" / "raw.csv").read_bytes()
     threaded = (tmp_path / "threaded" / "raw.csv").read_bytes()
     assert serial == threaded
+
+
+# (--jobs, os.cpu_count(), seeds, pool sizes started): 3 optimizers per seed
+@pytest.mark.parametrize("jobs, cores, seeds, pools", [
+    (4, 2, (0, 1), [2]),
+    (2, 8, (0, 1), [2]),
+    (8, 8, (0,), [3]),
+    (4, 1, (0, 1), []),
+    (1, 8, (0, 1), []),
+])
+def test_thread_pool_never_exceeds_cores_or_runs(monkeypatch, jobs, cores, seeds, pools):
+    started = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    table = run_experiment(quad_spec([opt("gd"), opt("congo-e"), opt("gdsp")], seeds=seeds), jobs=jobs)
+    assert started == pools
+    assert len(table.runs) == 3 * len(seeds)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

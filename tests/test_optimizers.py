@@ -15,7 +15,7 @@ from congo.optimizers import (
     nsgd_step,
     run_online,
 )
-from congo.sensing import ValueOracle
+from congo.sensing import ValueOracle, pointwise
 
 
 class LinearEnv:
@@ -41,7 +41,7 @@ class LinearEnv:
         return float(self.g @ x)
 
     def oracle(self):
-        return ValueOracle(lambda x: float(self.g @ x))
+        return ValueOracle(pointwise(lambda x: float(self.g @ x)))
 
     def exact_gradient(self, x):
         return self.g.copy()
@@ -62,7 +62,7 @@ class BrokenOracleEnv(LinearEnv):
         self.offset = float(offset)
 
     def oracle(self):
-        return ValueOracle(lambda x: float("nan"))
+        return ValueOracle(pointwise(lambda x: float("nan")))
 
     def exact_gradient(self, x):
         return None
@@ -81,7 +81,7 @@ class NaNFromThirdQueryEnv(LinearEnv):
             answered.append(x)
             return float(self.g @ x) if len(answered) < 3 else float("nan")
 
-        return ValueOracle(fn)
+        return ValueOracle(pointwise(fn))
 
 
 class FlakyCostEnv(LinearEnv):
@@ -177,7 +177,7 @@ def test_congo_step_recovers_sparse_linear_gradient():
     rng = np.random.default_rng(42)
     g = np.zeros(12)
     g[[2, 9]] = (1.5, -2.0)
-    oracle = ValueOracle(lambda x: float(g @ x))
+    oracle = ValueOracle(pointwise(lambda x: float(g @ x)))
     cfg = cfg_for("congo-e", sparsity=2, m=8, delta=1e-6)
     estimate = congo_step(cfg, oracle, np.zeros(12), rng)
     assert oracle.queries == 9
@@ -189,7 +189,7 @@ def test_congo_step_clips_when_cap_is_tight():
     rng = np.random.default_rng(1)
     g = np.zeros(6)
     g[0] = 5.0
-    oracle = ValueOracle(lambda x: float(g @ x))
+    oracle = ValueOracle(pointwise(lambda x: float(g @ x)))
     cfg = cfg_for(
         "congo-e", sparsity=1, m=4, smoothness=SmoothnessProfile(lipschitz=0.0, smoothness=0.0)
     )
@@ -205,7 +205,7 @@ def test_congo_b_step_uses_averaged_combined_queries():
     rng = np.random.default_rng(2)
     g = np.zeros(10)
     g[[1, 4]] = (1.0, -1.0)
-    oracle = ValueOracle(lambda x: float(g @ x))
+    oracle = ValueOracle(pointwise(lambda x: float(g @ x)))
     cfg = cfg_for("congo-b", sparsity=2, m=6, k=11, delta=1e-6)
     estimate = congo_step(cfg, oracle, np.zeros(10), rng)
     assert oracle.queries == 12
@@ -219,7 +219,7 @@ def test_congo_b_interference_shrinks_with_averaging():
     g = np.zeros(10)
     g[[1, 4]] = (1.0, -1.0)
     rng = np.random.default_rng(2)
-    oracle = ValueOracle(lambda x: float(g @ x))
+    oracle = ValueOracle(pointwise(lambda x: float(g @ x)))
     cfg = cfg_for("congo-b", sparsity=2, m=6, k=2000, delta=1e-6)
     estimate = congo_step(cfg, oracle, np.zeros(10), rng)
     assert oracle.queries == 2001
@@ -228,7 +228,7 @@ def test_congo_b_interference_shrinks_with_averaging():
 
 def test_gdsp_step_query_count():
     rng = np.random.default_rng(0)
-    oracle = ValueOracle(lambda x: float(np.sum(x)))
+    oracle = ValueOracle(pointwise(lambda x: float(np.sum(x))))
     cfg = cfg_for("gdsp", m=5)
     estimate = gdsp_step(cfg, oracle, np.zeros(7), rng)
     assert oracle.queries == 6
@@ -239,7 +239,7 @@ def test_gdsp_step_query_count():
 def test_nsgd_step_is_exact_on_linear_functions():
     rng = np.random.default_rng(0)
     g = np.array([1.0, -2.0, 0.5])
-    oracle = ValueOracle(lambda x: float(g @ x))
+    oracle = ValueOracle(pointwise(lambda x: float(g @ x)))
     estimate = nsgd_step(cfg_for("nsgd"), oracle, np.zeros(3), rng)
     assert oracle.queries == 4
     assert np.allclose(estimate.vector, g, atol=1e-9)

@@ -8,15 +8,23 @@ counts below are frozen properties of the implementation.
 import numpy as np
 import pytest
 
+from congo import optimizers
 from congo.core import ConfigurationError
 from congo.recovery import (
     RecoveryConfig,
     RecoveryOutcome,
+    _debias,
+    _largest,
+    _min_residual_on_cap,
+    _polish,
+    _pursuit,
+    _soft_threshold,
     basis_pursuit,
     cosamp,
     postprocess,
     rescale,
 )
+from congo.scenario import find_preset, load_spec
 
 
 def unit_sparse(rng, d, s):
@@ -148,3 +156,151 @@ def test_postprocess_handles_outcomes_and_bad_values():
     assert bad.clipped
     with pytest.raises(ConfigurationError):
         postprocess(np.zeros(2), norm_cap=-1.0)
+
+
+# Verbatim copies of the CoSaMP and basis-pursuit loops before their numpy
+# calls were trimmed (np.union1d, np.linalg.norm, a ball projection helper
+# with a fresh zero centre). They pin the trimmed loops to the same bits.
+
+
+def _ref_cosamp(matrix, values, cfg):
+    m, d = matrix.shape
+    s = cfg.sparsity
+    x, resid_norm = _ref_pursuit(matrix, values, cfg, frozenset())
+    taboo = set()
+    restarts = 0
+    while resid_norm > cfg.tolerance and restarts < 2:
+        taboo.update(np.flatnonzero(x).tolist())
+        if len(taboo) >= d - s:
+            break
+        retry, retry_norm = _ref_pursuit(matrix, values, cfg, frozenset(taboo))
+        if retry_norm < resid_norm:
+            x, resid_norm = retry, retry_norm
+        restarts += 1
+    return x
+
+
+def _ref_pursuit(matrix, values, cfg, taboo):
+    m, d = matrix.shape
+    s = cfg.sparsity
+    x = np.zeros(d)
+    residual = values.copy()
+    resid_norm = float(np.linalg.norm(residual))
+    stalled = 0
+    first = True
+    for _ in range(cfg.max_iterations):
+        if resid_norm <= cfg.tolerance:
+            break
+        proxy = matrix.T @ residual
+        if first and taboo:
+            proxy = proxy.copy()
+            proxy[list(taboo)] = 0.0
+        first = False
+        omega = _largest(proxy, min(2 * s, d))
+        merged = np.union1d(omega, np.flatnonzero(x))
+        coef, *_ = np.linalg.lstsq(matrix[:, merged], values, rcond=None)
+        candidate = np.zeros(d)
+        candidate[merged] = coef
+        keep = _largest(candidate, min(s, d))
+        refit, *_ = np.linalg.lstsq(matrix[:, keep], values, rcond=None)
+        x = np.zeros(d)
+        x[keep] = refit
+        residual = values - matrix @ x
+        new_norm = float(np.linalg.norm(residual))
+        stalled = stalled + 1 if new_norm >= resid_norm else 0
+        resid_norm = new_norm
+        if stalled >= 3:
+            break
+    return x, resid_norm
+
+
+def _ref_basis_pursuit(matrix, values, noise_level, norm_cap, cfg):
+    m, d = matrix.shape
+    gap, gap_point = _min_residual_on_cap(matrix, values, norm_cap)
+    if gap > noise_level + cfg.tolerance:
+        return RecoveryOutcome(vector=None, dim=d, reason="infeasible")
+
+    op_norm = float(np.linalg.norm(matrix, 2))
+    if op_norm == 0.0:
+        return RecoveryOutcome(vector=np.zeros(d), dim=d)
+
+    step = 1.0 / op_norm
+    z = np.zeros(d)
+    z_bar = np.zeros(d)
+    dual = np.zeros(m)
+    for _ in range(cfg.max_iterations):
+        ahead = dual + step * (matrix @ z_bar)
+        dual = ahead - step * _ref_project_ball(ahead / step, values, noise_level)
+        z_prev = z
+        z = _soft_threshold(z - step * (matrix.T @ dual), step)
+        z = _ref_project_ball(z, np.zeros(d), norm_cap)
+        z_bar = 2.0 * z - z_prev
+
+    slack = cfg.tolerance
+    candidates = []
+    for candidate in (
+        _polish(matrix, values, z),
+        _debias(matrix, values, z, correct=False),
+        _debias(matrix, values, z, correct=True),
+        gap_point,
+    ):
+        if candidate is None:
+            continue
+        if float(np.linalg.norm(values - matrix @ candidate)) > noise_level + slack:
+            continue
+        if float(np.linalg.norm(candidate)) > norm_cap + slack:
+            continue
+        candidates.append(candidate)
+    if not candidates:
+        return RecoveryOutcome(vector=None, dim=d, reason="infeasible")
+    best = min(candidates, key=lambda c: float(np.sum(np.abs(c))))
+    return RecoveryOutcome(vector=best, dim=d)
+
+
+def _ref_project_ball(point, center, radius):
+    offset = point - center
+    dist = float(np.linalg.norm(offset))
+    if dist <= radius:
+        return point
+    if radius == 0.0:
+        return center.copy()
+    return center + offset * (radius / dist)
+
+
+def _recorded_calls(monkeypatch, preset, optimizer, solver, rounds=25):
+    """The arguments of every `solver` call `optimizer` makes in `rounds` rounds of seeds 0-1."""
+    spec = load_spec(find_preset(preset))
+    cfg = next(c for c in spec.optimizers if c.name == optimizer)
+    original = getattr(optimizers, solver)
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(optimizers, solver, record)
+    for seed in (0, 1):
+        optimizers.run_online(cfg, spec.make_environment(), rounds, seed)
+    monkeypatch.undo()
+    assert len(calls) == 2 * rounds
+    return calls
+
+
+@pytest.mark.parametrize("preset", ["quadratic-noiseless", "quadratic-noisy-d50"])
+def test_basis_pursuit_matches_the_reference_loop(preset, monkeypatch):
+    for args in _recorded_calls(monkeypatch, preset, "congo-b", "basis_pursuit"):
+        out, ref = basis_pursuit(*args), _ref_basis_pursuit(*args)
+        assert out.reason == ref.reason
+        assert (out.vector is None) == (ref.vector is None)
+        if ref.vector is not None:
+            assert out.vector.tobytes() == ref.vector.tobytes()
+
+
+@pytest.mark.parametrize("preset", ["quadratic-noiseless", "quadratic-noisy-d50"])
+def test_cosamp_matches_the_reference_loop(preset, monkeypatch):
+    for args in _recorded_calls(monkeypatch, preset, "congo-e", "cosamp"):
+        assert cosamp(*args).tobytes() == _ref_cosamp(*args).tobytes()
+        # the residual norm steers the stall count and the restarts
+        x, resid_norm = _pursuit(*args, frozenset())
+        ref_x, ref_norm = _ref_pursuit(*args, frozenset())
+        assert x.tobytes() == ref_x.tobytes() and resid_norm == ref_norm

@@ -221,6 +221,14 @@ def test_spec_error_messages_name_the_field(tmp_path):
          r"\[DEFAULT\] is not supported"),
         (JACKSON_SPEC, "route.beta = 0 2 1", "route.beta = 0 2 3",
          r"\[topology\] route.beta: queue 3 is out of range"),
+        (JACKSON_SPEC, "correction_factor = 0.5", "correction_factor = 0.5\nresource_weight = nan",
+         r"\[simulation\] resource_weight: must be finite and >= 0, got nan"),
+        (JACKSON_SPEC, "correction_factor = 0.5", "correction_factor = 0.5\nresource_weight = -1",
+         r"\[simulation\] resource_weight: must be finite and >= 0, got -1.0"),
+        (JACKSON_SPEC, "correction_factor = 0.5", "correction_factor = 0",
+         r"\[simulation\] correction_factor: must be finite and > 0, got 0.0"),
+        (JACKSON_SPEC, "correction_factor = 0.5", "correction_factor = inf",
+         r"\[simulation\] correction_factor: must be finite and > 0, got inf"),
     ]
     for i, (base, old, new, message) in enumerate(named):
         assert old in base

@@ -12,20 +12,22 @@ from congo.sensing import (
     draw_matrix,
     measure_combined,
     measure_single_row,
+    pointwise,
     prescribe_m,
 )
 
 
 def test_value_oracle_counts_queries():
-    oracle = ValueOracle(lambda x: float(np.sum(x)))
-    assert oracle.queries == 0
-    values = oracle(np.stack([np.ones(3), np.zeros(3)]))
-    assert np.array_equal(values, [3.0, 0.0])
-    assert oracle.queries == 2
-    oracle(np.ones((4, 3)))
-    assert oracle.queries == 6
-    with pytest.raises(ConfigurationError):
-        oracle(np.ones(3))  # a single point is a batch of one row
+    for evaluate in (pointwise(lambda x: float(np.sum(x))), lambda points: points.sum(axis=1)):
+        oracle = ValueOracle(evaluate)
+        assert oracle.queries == 0
+        values = oracle(np.stack([np.ones(3), np.zeros(3)]))
+        assert np.array_equal(values, [3.0, 0.0])
+        assert oracle.queries == 2
+        oracle(np.ones((4, 3)))
+        assert oracle.queries == 6
+        with pytest.raises(ConfigurationError):
+            oracle(np.ones(3))  # a single point is a batch of one row
 
 
 def test_value_oracle_stops_at_the_first_non_finite_value():
@@ -35,11 +37,17 @@ def test_value_oracle_stops_at_the_first_non_finite_value():
         seen.append(x[0])
         return float("nan") if x[0] == 2.0 else float(x[0])
 
-    oracle = ValueOracle(fn)
-    with pytest.raises(MeasurementError):
-        oracle(np.arange(5.0)[:, None])
-    assert oracle.queries == 3  # the NaN point counts, the rows after it never run
-    assert seen == [0.0, 1.0, 2.0]
+    def batch(points):  # evaluates every row, the NaN one included
+        return np.array([fn(p) for p in points])
+
+    # a pointwise evaluator never runs the rows after the NaN
+    for evaluate, evaluated in ((pointwise(fn), [0.0, 1.0, 2.0]), (batch, [0.0, 1.0, 2.0, 3.0, 4.0])):
+        seen.clear()
+        oracle = ValueOracle(evaluate)
+        with pytest.raises(MeasurementError, match="batch row 2"):
+            oracle(np.arange(5.0)[:, None])
+        assert oracle.queries == 3  # the NaN point counts, the rows after it do not
+        assert seen == evaluated
 
 
 def test_draw_matrix_shapes_and_distributions():
@@ -65,7 +73,7 @@ def test_single_row_is_exact_on_linear_functions():
     """With zero curvature the forward difference equals <grad, a_i> exactly."""
     rng = np.random.default_rng(3)
     g = rng.normal(size=6)
-    oracle = ValueOracle(lambda x: float(g @ x))
+    oracle = ValueOracle(pointwise(lambda x: float(g @ x)))
     matrix = draw_matrix(4, 6, "gaussian", rng)
     out = measure_single_row(oracle, np.zeros(6), matrix, delta=0.01)
     assert oracle.queries == 5
@@ -76,7 +84,7 @@ def test_single_row_error_within_curvature_bound():
     # f(x) = ||x||^2 has Hessian 2I, so each entry is off by at most delta
     rng = np.random.default_rng(11)
     x = rng.normal(size=5)
-    oracle = ValueOracle(lambda z: float(z @ z))
+    oracle = ValueOracle(pointwise(lambda z: float(z @ z)))
     matrix = draw_matrix(6, 5, "gaussian", rng)
     delta = 0.05
     out = measure_single_row(oracle, x, matrix, delta)
@@ -87,20 +95,20 @@ def test_single_row_error_within_curvature_bound():
 def test_single_row_validation():
     rng = np.random.default_rng(0)
     matrix = draw_matrix(3, 4, "gaussian", rng)
-    oracle = ValueOracle(lambda x: 0.0)
+    oracle = ValueOracle(pointwise(lambda x: 0.0))
     with pytest.raises(ConfigurationError):
         measure_single_row(oracle, np.zeros(5), matrix, 0.1)
     with pytest.raises(ConfigurationError):
         measure_single_row(oracle, np.zeros(4), matrix, 0.0)
     with pytest.raises(MeasurementError):
-        measure_single_row(ValueOracle(lambda x: float("nan")), np.zeros(4), matrix, 0.1)
+        measure_single_row(ValueOracle(pointwise(lambda x: float("nan"))), np.zeros(4), matrix, 0.1)
 
 
 def test_combined_single_row_is_exact_on_linear_functions():
     """With one row the sign cancels against itself, so every draw is exact."""
     rng = np.random.default_rng(5)
     g = rng.normal(size=8)
-    oracle = ValueOracle(lambda x: float(g @ x))
+    oracle = ValueOracle(pointwise(lambda x: float(g @ x)))
     matrix = draw_matrix(1, 8, "gaussian", rng)
     out = measure_combined(oracle, np.zeros(8), matrix, delta=0.01, k=7, rng=rng)
     assert oracle.queries == 8
@@ -113,8 +121,8 @@ def test_combined_interference_averages_out():
     rng = np.random.default_rng(5)
     g = rng.normal(size=8)
     matrix = draw_matrix(3, 8, "gaussian", rng)
-    small = measure_combined(ValueOracle(lambda x: float(g @ x)), np.zeros(8), matrix, 0.01, 20, rng)
-    oracle = ValueOracle(lambda x: float(g @ x))
+    small = measure_combined(ValueOracle(pointwise(lambda x: float(g @ x))), np.zeros(8), matrix, 0.01, 20, rng)
+    oracle = ValueOracle(pointwise(lambda x: float(g @ x)))
     big = measure_combined(oracle, np.zeros(8), matrix, delta=0.01, k=5000, rng=rng)
     assert oracle.queries == 5001
     target = matrix.entries @ g
@@ -126,9 +134,9 @@ def test_combined_validation():
     rng = np.random.default_rng(0)
     matrix = draw_matrix(3, 4, "gaussian", rng)
     with pytest.raises(ConfigurationError):
-        measure_combined(ValueOracle(lambda x: 0.0), np.zeros(4), matrix, 0.1, 0, rng)
+        measure_combined(ValueOracle(pointwise(lambda x: 0.0)), np.zeros(4), matrix, 0.1, 0, rng)
     with pytest.raises(MeasurementError):
-        measure_combined(ValueOracle(lambda x: float("inf")), np.zeros(4), matrix, 0.1, 2, rng)
+        measure_combined(ValueOracle(pointwise(lambda x: float("inf"))), np.zeros(4), matrix, 0.1, 2, rng)
 
 
 def test_combined_redraws_zero_combinations():
@@ -140,7 +148,7 @@ def test_combined_redraws_zero_combinations():
         points.append(x.copy())
         return float(x[0] + 3.0 * x[1])
 
-    oracle = ValueOracle(fn)
+    oracle = ValueOracle(pointwise(fn))
     out = measure_combined(oracle, np.zeros(2), matrix, delta=0.01, k=40, rng=np.random.default_rng(0))
     assert oracle.queries == 41
     assert all(np.any(p != 0.0) for p in points[1:])
@@ -223,7 +231,13 @@ def _stream_states(env):
     return [v.bit_generator.state for v in vars(env).values() if isinstance(v, np.random.Generator)]
 
 
-@pytest.mark.parametrize("preset", ["quadratic-noiseless", "quadratic-noisy-d50", "jackson-complex-fixed"])
+@pytest.mark.parametrize("preset", [
+    "quadratic-noiseless",
+    "quadratic-noisy-d50",
+    "quadratic-noisy-d100",
+    "quadratic-approx-sparsity",  # dense diagonal: every coordinate is curved
+    "jackson-complex-fixed",
+])
 def test_batched_estimators_match_the_per_probe_reference(preset):
     spec = load_spec(find_preset(preset))
     delta = spec.optimizers[0].delta
