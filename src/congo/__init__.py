@@ -69,7 +69,6 @@ from .recovery import (
     rescale,
 )
 from .sensing import (
-    MeasurementMatrix,
     ValueOracle,
     draw_matrix,
     forward_differences,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,8 +103,11 @@ class SmoothnessProfile:
     smoothness: float
 
     def __post_init__(self):
-        if self.lipschitz < 0 or self.smoothness < 0:
-            raise ConfigurationError("smoothness bounds must be nonnegative")
+        for key in ("lipschitz", "smoothness"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ConfigurationError(
+                    f"{key}: must be finite and >= 0, got {getattr(self, key)}"
+                )
 
 
 def gd_update(x: np.ndarray, gradient: np.ndarray, eta: float, cset: ConstraintSet) -> np.ndarray:

@@ -88,7 +88,7 @@ class FixedWorkload:
     mix: dict[str, float]
 
     def __post_init__(self):
-        _check_rate(self.rate, "[workload] rate")
+        _check_rate(self.rate, "rate")
 
     def at(self, t: int) -> tuple[float, dict[str, float]]:
         return self.rate, self.mix
@@ -110,7 +110,7 @@ class VariableRateWorkload:
             raise ConfigurationError("need at least one rate segment")
         expected = 1
         for first, last, rate in self.segments:
-            _check_rate(rate, f"[workload] segments: rate of segment {first}-{last}")
+            _check_rate(rate, f"segments: rate of segment {first}-{last}")
             if first != expected:
                 raise ConfigurationError(
                     f"rate segment {first}-{last} starts at round {first}, expected {expected}:"
@@ -138,7 +138,7 @@ class VariableMixWorkload:
     end_round: int
 
     def __post_init__(self):
-        _check_rate(self.rate, "[workload] rate")
+        _check_rate(self.rate, "rate")
         if self.end_round <= self.start_round:
             raise ConfigurationError("mix transition needs end_round > start_round")
 

@@ -62,11 +62,13 @@ class QuadraticAdversaryConfig:
             raise ConfigurationError(
                 f"sparsity: need 1 <= sparsity <= dimension, got {self.sparsity}/{self.dimension}"
             )
-        if not self.radius > 0:
-            raise ConfigurationError(f"radius: must be > 0, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ConfigurationError(f"radius: must be > 0 and finite, got {self.radius}")
         for key in ("noise_sigma", "approx_scale"):
-            if not getattr(self, key) >= 0:
-                raise ConfigurationError(f"{key}: must be >= 0, got {getattr(self, key)}")
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ConfigurationError(
+                    f"{key}: must be >= 0 and finite, got {getattr(self, key)}"
+                )
         if not 0.0 <= self.start_fraction <= 1.0:
             raise ConfigurationError(
                 f"start_fraction: must lie in [0, 1], got {self.start_fraction}"

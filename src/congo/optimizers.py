@@ -54,8 +54,8 @@ _OPT_STREAM = 2
 
 class ConstantRate:
     def __init__(self, eta: float):
-        if eta < 0:
-            raise ConfigurationError("learning rate must be >= 0")
+        if not 0 <= eta < math.inf:
+            raise ConfigurationError(f"eta must be finite and >= 0, got {eta}")
         self.eta = eta
 
     def rate(self, t: int) -> float:
@@ -66,8 +66,8 @@ class InverseDecayRate:
     """eta0 / (1 + decay * t), with t the 1-based round index."""
 
     def __init__(self, eta: float, decay: float):
-        if eta < 0 or decay < 0:
-            raise ConfigurationError("learning rate and decay must be >= 0")
+        if not (0 <= eta < math.inf and 0 <= decay < math.inf):
+            raise ConfigurationError(f"eta and decay must be finite and >= 0, got {eta}, {decay}")
         self.eta = eta
         self.decay = decay
 
@@ -79,8 +79,11 @@ class StepDecayRate:
     """eta0 * factor^floor((t - 1) / period)."""
 
     def __init__(self, eta: float, period: int, factor: float):
-        if eta < 0 or period < 1 or factor <= 0:
-            raise ConfigurationError("bad step-decay parameters")
+        if not (0 <= eta < math.inf and period >= 1 and 0 < factor < math.inf):
+            raise ConfigurationError(
+                "step decay needs finite eta >= 0, period >= 1 and finite factor > 0,"
+                f" got {eta}, {period}, {factor}"
+            )
         self.eta = eta
         self.period = period
         self.factor = factor
@@ -108,8 +111,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.name not in ALL_OPTIMIZERS:
             raise ConfigurationError(f"unknown optimizer {self.name!r}")
-        if self.name != "gd" and self.delta <= 0:
-            raise ConfigurationError("delta must be > 0")
+        if self.name != "gd" and not 0 < self.delta < math.inf:
+            raise ConfigurationError(f"delta: must be finite and > 0, got {self.delta}")
         if self.m < 1 or self.sparsity < 1:
             raise ConfigurationError("m and sparsity must be >= 1")
         if self.k is not None and self.k < 1:
@@ -170,11 +173,11 @@ def congo_step(
         measured = measure_combined(oracle, x, matrix, cfg.delta, cfg.averaging_count(), rng)
         noise_level = 3.0 * cfg.smoothness.smoothness * cfg.delta
         outcome = basis_pursuit(
-            *rescale(matrix.entries, measured), noise_level, cap, cfg.recovery_config()
+            *rescale(matrix, measured), noise_level, cap, cfg.recovery_config()
         )
     else:
         measured = measure_single_row(oracle, x, matrix, cfg.delta)
-        outcome = cosamp(*rescale(matrix.entries, measured), cfg.recovery_config())
+        outcome = cosamp(*rescale(matrix, measured), cfg.recovery_config())
     return postprocess(outcome, cap)
 
 
@@ -220,7 +223,7 @@ def run_online(cfg: OptimizerConfig, env, horizon: int, seed: int) -> list[Round
             estimate = GradientEstimate(np.zeros(env.dim), clipped=True)
             records.append(RoundRecord(t=t, x=x.copy(), cost=cost, queries=0, estimate=estimate))
             x = env.instability_correction(x)
-            assert cset.contains(x, tol=1e-9)
+            _check_feasible(cset, x, t, "the instability correction")
             continue
         estimate, queries = _estimate(cfg, env, x, rng)
         if not np.all(np.isfinite(estimate.vector)):
@@ -238,7 +241,7 @@ def run_online(cfg: OptimizerConfig, env, horizon: int, seed: int) -> list[Round
             if norm > 0.0:
                 step_vector = step_vector / norm
         x_next = gd_update(x, step_vector, cfg.schedule.rate(t), cset)
-        assert cset.contains(x_next, tol=1e-9)
+        _check_feasible(cset, x_next, t, "the projected step")
         records.append(
             RoundRecord(
                 t=t, x=x.copy(), cost=cost, queries=queries, estimate=estimate, grad_error=grad_error
@@ -269,9 +272,14 @@ def _estimate(cfg, env, x, rng) -> tuple[GradientEstimate, int]:
     return estimate, oracle.queries
 
 
+def _check_feasible(cset, x, t, source) -> None:
+    # a raise, not an assert, so that python -O keeps the check
+    if not cset.contains(x, tol=1e-9):
+        raise RuntimeError(f"round {t}: {source} left the feasible set")
+
+
 def _gradient_error(env, x, step_vector) -> float | None:
     truth = env.exact_gradient(x)
     if truth is None:
         return None
-    used = np.zeros_like(x) if step_vector is None else step_vector
-    return float(np.linalg.norm(used - truth))
+    return float(np.linalg.norm(step_vector - truth))

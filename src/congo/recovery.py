@@ -197,10 +197,11 @@ def basis_pursuit(
     # the feasible set and keep whichever one has the smallest l1 norm.
     slack = cfg.tolerance
     candidates = []
+    debiased = _debias(matrix, values, z)
     for candidate in (
         _polish(matrix, values, z),
-        _debias(matrix, values, z, correct=False),
-        _debias(matrix, values, z, correct=True),
+        debiased,
+        None if debiased is None else _polish(matrix, values, debiased),
         gap_point,
     ):
         if candidate is None:
@@ -222,12 +223,12 @@ def _polish(matrix, values, z) -> np.ndarray:
     return z + correction
 
 
-def _debias(matrix, values, z, correct: bool) -> np.ndarray | None:
+def _debias(matrix, values, z) -> np.ndarray | None:
     """Least squares restricted to the iterate's strong support.
 
     With the support correctly identified this recovers the sparse generator to
-    working precision; correct=True additionally restores exact measurement
-    consistency for the noisy case.
+    working precision; polishing the result additionally restores exact
+    measurement consistency for the noisy case.
     """
     magnitudes = np.abs(z)
     top = float(magnitudes.max())
@@ -239,8 +240,6 @@ def _debias(matrix, values, z, correct: bool) -> np.ndarray | None:
     coef, *_ = np.linalg.lstsq(matrix[:, support], values, rcond=None)
     debiased = np.zeros(matrix.shape[1])
     debiased[support] = coef
-    if correct:
-        return _polish(matrix, values, debiased)
     return debiased
 
 

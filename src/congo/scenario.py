@@ -9,7 +9,9 @@ read by configparser; see the README for the field reference.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import os
+import typing
 from importlib import resources
 from pathlib import Path
 
@@ -41,34 +43,17 @@ PRESET_ENV_VAR = "CONGO_PRESET_DIR"
 # optimizer keys a [sweep] section may rewrite
 SWEEPABLE = ("m", "sparsity", "k", "delta")
 
-# the keys each section accepts; [topology] takes queues and route.<job>
+_WORKLOADS = {
+    "fixed": FixedWorkload,
+    "variable-rate": VariableRateWorkload,
+    "variable-mix": VariableMixWorkload,
+}
+
+# the keys of the hand-read sections; [topology] takes queues and route.<job>,
+# and [quadratic], [workload] and [simulation] take their dataclass's fields
 _EXPERIMENT_KEYS = {"kind", "name", "rounds", "seeds", "optimizers"}
-_QUADRATIC_KEYS = {
-    "dimension",
-    "sparsity",
-    "radius",
-    "noise_sigma",
-    "fixed_constant",
-    "approx_scale",
-    "fixed_support",
-    "start_fraction",
-}
-_WORKLOAD_KEYS = {
-    "fixed": {"kind", "rate", "mix"},
-    "variable-rate": {"kind", "segments", "mix"},
-    "variable-mix": {"kind", "rate", "initial_mix", "final_mix", "start_round", "end_round"},
-}
-_SIMULATION_KEYS = {
-    "warmup_seconds",
-    "measure_seconds",
-    "resource_weight",
-    "correction_factor",
-    "lower_bound",
-    "upper_bound",
-    "initial_allocation",
-    "initial_entry_allocation",
-}
 _SWEEP_KEYS = {"parameter", "values"}
+# every optimizer-section key; the derived ones do not map one to one onto fields
 _OPTIMIZER_KEYS = {
     "learning_rate",
     "delta",
@@ -98,11 +83,14 @@ def parse_seed_list(text: str) -> tuple[int, ...]:
             else:
                 seeds.append(int(token))
         except ValueError:
-            raise ConfigurationError(f"bad seed token {token!r} (want int or first-last)")
+            raise ConfigurationError(f"seeds: bad token {token!r} (want int or first-last)")
     if not seeds:
-        raise ConfigurationError("seed list is empty")
+        raise ConfigurationError("seeds: the list is empty")
     if len(set(seeds)) != len(seeds):
-        raise ConfigurationError("seed list has duplicates")
+        raise ConfigurationError("seeds: the list has duplicates")
+    # numpy seeds a generator only from non-negative integers
+    if min(seeds) < 0:
+        raise ConfigurationError(f"seeds: {min(seeds)} is negative")
     return tuple(seeds)
 
 
@@ -116,10 +104,13 @@ def parse_learning_rate(text: str):
             return InverseDecayRate(float(parts[1]), float(parts[2]))
         if len(parts) == 1:
             return ConstantRate(float(parts[0]))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"learning_rate: {exc}") from None
     except ValueError:
         pass
     raise ConfigurationError(
-        f"bad learning_rate {text!r} (want a number, step:eta0:period:factor, or inv:eta0:decay)"
+        f"learning_rate: bad value {text!r}"
+        " (want a number, step:eta0:period:factor, or inv:eta0:decay)"
     )
 
 
@@ -138,7 +129,7 @@ def _parse_mix(section: str, text: str) -> dict[str, float]:
     return mix
 
 
-def _parse_segments(text: str) -> tuple[tuple[int, int, float], ...]:
+def _parse_segments(section: str, text: str) -> tuple[tuple[int, int, float], ...]:
     segments = []
     for token in text.replace(",", " ").split():
         span, sep, rate = token.rpartition(":")
@@ -146,10 +137,25 @@ def _parse_segments(text: str) -> tuple[tuple[int, int, float], ...]:
         try:
             segments.append((int(first), int(last), float(rate)))
         except ValueError:
-            raise ConfigurationError(
-                f"[workload] segment {token!r} is not first-last:rate"
-            )
+            raise ConfigurationError(f"[{section}] segment {token!r} is not first-last:rate")
     return tuple(segments)
+
+
+def _parse_boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(text)
+    return states[text.lower()]
+
+
+# how a field of each annotated type is read: (parser, what a bad value is not)
+_SCALARS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    float | None: (float, "a number"),
+    bool: (_parse_boolean, "a boolean"),
+    str | None: (str, "a string"),
+}
 
 
 class _Section:
@@ -162,9 +168,6 @@ class _Section:
     @classmethod
     def of(cls, parser: configparser.ConfigParser, name: str) -> _Section:
         return cls(name, dict(parser[name]) if parser.has_section(name) else {})
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
 
     def keys(self):
         return self._data.keys()
@@ -189,40 +192,51 @@ class _Section:
         return self._data.get(key, default).strip()
 
     def floating(self, key: str, default: float | None = None) -> float:
-        raw = self.raw(key)
-        if raw is None or raw == "":
-            if default is None:
-                raise ConfigurationError(f"[{self.name}] {key}: missing required key")
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigurationError(f"[{self.name}] {key}: {raw!r} is not a number")
+        return self._typed(key, float, default)
 
     def integer(self, key: str, default: int | None = None) -> int:
-        raw = self.raw(key)
-        if raw is None or raw == "":
-            if default is None:
-                raise ConfigurationError(f"[{self.name}] {key}: missing required key")
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigurationError(f"[{self.name}] {key}: {raw!r} is not an integer")
+        return self._typed(key, int, default)
 
-    def boolean(self, key: str, default: bool) -> bool:
+    def into(self, cls, also=(), **given):
+        """cls built from this section, naming the section in any error.
+
+        Every field not in given reads the key of its name, parsed by the
+        field's annotated type; an unset or empty key keeps the field's
+        default. The section accepts those keys and the ones in also.
+        """
+        types = typing.get_type_hints(cls)
+        reads = [f for f in dataclasses.fields(cls) if f.name not in given]
+        self.reject_unknown({f.name for f in reads}.union(also))
+        for f in reads:
+            raw = self.raw(f.name)
+            if raw:
+                given[f.name] = self._parse(f.name, types[f.name], raw)
+            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigurationError(f"[{self.name}] {f.name}: missing required key")
+        return _build(self.name, cls, **given)
+
+    def _typed(self, key: str, kind, default):
         raw = self.raw(key)
-        if raw is None or raw == "":
-            return default
-        lowered = raw.lower()
-        states = configparser.ConfigParser.BOOLEAN_STATES
-        if lowered not in states:
-            raise ConfigurationError(f"[{self.name}] {key}: {raw!r} is not a boolean")
-        return states[lowered]
+        if raw:
+            return self._parse(key, kind, raw)
+        if default is None:
+            raise ConfigurationError(f"[{self.name}] {key}: missing required key")
+        return default
+
+    def _parse(self, key: str, kind, raw: str):
+        if kind == dict[str, float]:
+            return _parse_mix(self.name, raw)
+        if kind == tuple[tuple[int, int, float], ...]:
+            return _parse_segments(self.name, raw)
+        parse, what = _SCALARS[kind]
+        try:
+            return parse(raw)
+        except ValueError:
+            raise ConfigurationError(f"[{self.name}] {key}: {raw!r} is not {what}")
 
 
 def _build(section: str, cls, **fields):
-    """cls(**fields), naming the spec section in any error the class raises."""
+    """cls(**fields), naming the spec section in any error it raises; cls may be a parser."""
     try:
         return cls(**fields)
     except ConfigurationError as exc:
@@ -261,7 +275,7 @@ def load_spec(path: str | Path, overrides: dict[str, object] | None = None) -> E
         raise ConfigurationError(f"[experiment] kind: {kind!r} is not quadratic or jackson")
     name = exp.text("name", path.stem)
     horizon = exp.integer("rounds")
-    seeds = parse_seed_list(exp.require("seeds"))
+    seeds = _build("experiment", parse_seed_list, text=exp.require("seeds"))
     opt_names = exp.require("optimizers").replace(",", " ").split()
     for opt in opt_names:
         if opt not in ALL_OPTIMIZERS:
@@ -310,23 +324,9 @@ def load_spec(path: str | Path, overrides: dict[str, object] | None = None) -> E
 
 
 def _build_quadratic(parser):
-    sec = _Section.of(parser, "quadratic")
     if not parser.has_section("quadratic"):
         raise ConfigurationError("missing [quadratic] section")
-    sec.reject_unknown(_QUADRATIC_KEYS)
-    raw_constant = sec.raw("fixed_constant")
-    cfg = _build(
-        "quadratic",
-        QuadraticAdversaryConfig,
-        dimension=sec.integer("dimension"),
-        sparsity=sec.integer("sparsity"),
-        radius=sec.floating("radius"),
-        noise_sigma=sec.floating("noise_sigma", 0.0),
-        fixed_constant=None if raw_constant in (None, "") else sec.floating("fixed_constant"),
-        approx_scale=sec.floating("approx_scale", 0.0),
-        fixed_support=sec.boolean("fixed_support", False),
-        start_fraction=sec.floating("start_fraction", 0.9),
-    )
+    cfg = _Section.of(parser, "quadratic").into(QuadraticAdversaryConfig)
     return (lambda: QuadraticAdversary(cfg)), cfg.dimension, cfg.radius
 
 
@@ -355,49 +355,23 @@ def _build_jackson(parser, horizon):
         raise ConfigurationError("missing [workload] section")
     work = _Section.of(parser, "workload")
     wkind = work.text("kind", "fixed")
-    if wkind not in _WORKLOAD_KEYS:
+    if wkind not in _WORKLOADS:
         raise ConfigurationError(
             f"[workload] kind: {wkind!r} is not fixed, variable-rate, or variable-mix"
         )
-    work.reject_unknown(_WORKLOAD_KEYS[wkind])
-    if wkind == "fixed":
-        schedule = FixedWorkload(
-            rate=work.floating("rate"), mix=_parse_mix("workload", work.require("mix"))
-        )
-    elif wkind == "variable-rate":
-        schedule = VariableRateWorkload(
-            segments=_parse_segments(work.require("segments")),
-            mix=_parse_mix("workload", work.require("mix")),
-        )
+    schedule = work.into(_WORKLOADS[wkind], also=("kind",))
+    if wkind == "variable-rate":
         last = schedule.segments[-1][1]
         if last < horizon:
             raise ConfigurationError(
                 f"[workload] segments: end at round {last}, before the last round {horizon}"
             )
-    else:
-        schedule = VariableMixWorkload(
-            rate=work.floating("rate"),
-            initial_mix=_parse_mix("workload", work.require("initial_mix")),
-            final_mix=_parse_mix("workload", work.require("final_mix")),
-            start_round=work.integer("start_round"),
-            end_round=work.integer("end_round"),
-        )
     # every mix the schedule returns is one of these or a blend of the two
     for key in ("initial_mix", "final_mix") if wkind == "variable-mix" else ("mix",):
         _check_mix(getattr(schedule, key), topology.job_names, f"[workload] {key}")
 
     sim = _Section.of(parser, "simulation")
-    sim.reject_unknown(_SIMULATION_KEYS)
-    sim_cfg = _build(
-        "simulation",
-        SimConfig,
-        warmup_seconds=sim.floating("warmup_seconds", 30.0),
-        measure_seconds=sim.floating("measure_seconds", 10.0),
-        resource_weight=sim.floating("resource_weight", 1.0),
-        correction_factor=sim.floating("correction_factor", 1.0),
-        lower_bound=sim.floating("lower_bound", 1.0),
-        upper_bound=sim.floating("upper_bound", 60.0),
-    )
+    sim_cfg = sim.into(SimConfig, also=("initial_allocation", "initial_entry_allocation"))
     base = sim.floating("initial_allocation")
     entry_alloc = sim.floating("initial_entry_allocation", base)
     for key, value in (("initial_allocation", base), ("initial_entry_allocation", entry_alloc)):
@@ -444,25 +418,23 @@ def _build_optimizer(parser, opt_name, kind, dim, radius, overrides) -> Optimize
     if kind == "quadratic" and sec.raw("lipschitz", "") == "":
         profile = smoothness_bounds(radius, sparsity)
     else:
-        profile = SmoothnessProfile(
-            lipschitz=sec.floating("lipschitz", 0.0), smoothness=sec.floating("smoothness", 0.0)
+        profile = _build(
+            sec.name,
+            SmoothnessProfile,
+            lipschitz=sec.floating("lipschitz", 0.0),
+            smoothness=sec.floating("smoothness", 0.0),
         )
 
     k = None if sec.raw("k", "") in ("", "auto") else sec.integer("k", 1)
-    return _build(
-        sec.name,
+    return sec.into(
         OptimizerConfig,
+        also=_OPTIMIZER_KEYS,
         name=opt_name,
-        schedule=parse_learning_rate(sec.require("learning_rate")),
-        delta=sec.floating("delta"),
+        schedule=_build(sec.name, parse_learning_rate, text=sec.require("learning_rate")),
         sparsity=sparsity,
         m=m,
         k=k,
         smoothness=profile,
-        normalize_gradient=sec.boolean("normalize_gradient", False),
-        recovery_tolerance=sec.floating("recovery_tolerance", 0.005),
-        recovery_max_iterations=sec.integer("recovery_max_iterations", 50),
-        distribution=sec.raw("distribution") or None,
     )
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -69,22 +68,8 @@ def pointwise(fn: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.nd
     return evaluate
 
 
-@dataclass(frozen=True)
-class MeasurementMatrix:
-    entries: np.ndarray
-    distribution: str
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.entries.shape[1]
-
-
-def draw_matrix(m: int, d: int, distribution: str, rng: np.random.Generator) -> MeasurementMatrix:
-    """Draw a fresh m x d measurement matrix.
+def draw_matrix(m: int, d: int, distribution: str, rng: np.random.Generator) -> np.ndarray:
+    """Draw a fresh (m, d) measurement matrix.
 
     gaussian and rademacher rows have iid entries. sphere rows are gaussian
     draws normalized to unit length: same directions, but the probe radius in
@@ -106,7 +91,7 @@ def draw_matrix(m: int, d: int, distribution: str, rng: np.random.Generator) -> 
         entries[bad] = _draw_rows(int(bad.sum()), d, distribution, rng)
     if distribution == "sphere":
         entries /= np.linalg.norm(entries, axis=1, keepdims=True)
-    return MeasurementMatrix(entries=entries, distribution=distribution)
+    return entries
 
 
 def _draw_rows(m: int, d: int, distribution: str, rng: np.random.Generator) -> np.ndarray:
@@ -128,7 +113,7 @@ def forward_differences(
 
 
 def measure_single_row(
-    oracle: ValueOracle, x: np.ndarray, matrix: MeasurementMatrix, delta: float
+    oracle: ValueOracle, x: np.ndarray, matrix: np.ndarray, delta: float
 ) -> np.ndarray:
     """One forward difference per matrix row; m+1 queries total.
 
@@ -137,14 +122,14 @@ def measure_single_row(
     norm bound.
     """
     x = _check_probe(x, matrix, delta)
-    norms_sq = np.sum(matrix.entries**2, axis=1)
-    return forward_differences(oracle, x, matrix.entries, delta / norms_sq) * norms_sq / delta
+    norms_sq = np.sum(matrix**2, axis=1)
+    return forward_differences(oracle, x, matrix, delta / norms_sq) * norms_sq / delta
 
 
 def measure_combined(
     oracle: ValueOracle,
     x: np.ndarray,
-    matrix: MeasurementMatrix,
+    matrix: np.ndarray,
     delta: float,
     k: int,
     rng: np.random.Generator,
@@ -158,17 +143,17 @@ def measure_combined(
     if k < 1:
         raise ConfigurationError(f"averaging count must be >= 1, got {k}")
     x = _check_probe(x, matrix, delta)
-    signs = _draw_rows(k, matrix.m, "rademacher", rng)
+    signs = _draw_rows(k, matrix.shape[0], "rademacher", rng)
     for _ in range(_MAX_REDRAWS):
         # one matrix-vector product and one dot product per draw, stacked:
         # signs @ A or a summed square would round differently
-        combos = (matrix.entries.T @ signs[:, :, None])[:, :, 0]
+        combos = (matrix.T @ signs[:, :, None])[:, :, 0]
         norms_sq = (combos[:, None, :] @ combos[:, :, None]).ravel()
         bad = norms_sq == 0.0
         if not bad.any():
             break
         log.debug("redrawing %d sign vectors: combined direction was zero", int(bad.sum()))
-        signs[bad] = _draw_rows(int(bad.sum()), matrix.m, "rademacher", rng)
+        signs[bad] = _draw_rows(int(bad.sum()), matrix.shape[0], "rademacher", rng)
     else:
         raise MeasurementError("could not draw a nonzero combined perturbation direction")
     scaled = forward_differences(oracle, x, combos, delta / norms_sq) * (norms_sq / delta)
@@ -183,10 +168,11 @@ def prescribe_m(s: int, d: int) -> int:
     return int(min(d, max(1, math.ceil(2.0 * s * math.log(d / s)))))
 
 
-def _check_probe(x: np.ndarray, matrix: MeasurementMatrix, delta: float) -> np.ndarray:
+def _check_probe(x: np.ndarray, matrix: np.ndarray, delta: float) -> np.ndarray:
     if not (delta > 0 and math.isfinite(delta)):
         raise ConfigurationError(f"perturbation size must be finite and > 0, got {delta}")
     x = np.asarray(x, dtype=float)
-    if x.shape != (matrix.d,):
-        raise ConfigurationError(f"point has shape {x.shape}, matrix expects ({matrix.d},)")
+    d = matrix.shape[1]
+    if x.shape != (d,):
+        raise ConfigurationError(f"point has shape {x.shape}, matrix expects ({d},)")
     return x

@@ -107,7 +107,7 @@ def test_criterion_02_single_row_measurement_bound(criterion_report):
         oracle = ValueOracle(pointwise(lambda z: float(z @ (diag * z) + b @ z)))
         matrix = draw_matrix(int(rng.integers(2, d + 1)), d, "gaussian", rng)
         y = measure_single_row(oracle, x, matrix, delta)
-        err = np.abs(y - matrix.entries @ (2.0 * diag * x + b))
+        err = np.abs(y - matrix @ (2.0 * diag * x + b))
         bound = 0.5 * hessian_norm * delta + 1e-12
         violations += int(np.sum(err > bound))
         worst = max(worst, float(np.max(err / bound)))

@@ -71,6 +71,37 @@ BAD_SPECS = {
         "initial_allocation = 4\nresource_weight = nan",
         r"\[simulation\] resource_weight: must be finite and >= 0",
     ),
+    # numpy refuses a negative seed only once a run starts
+    "negative-seed": ("seeds = 0", "seeds = -3", r"\[experiment\] seeds: -3 is negative"),
+    # each non-finite value below loaded and then broke or silently changed the run
+    "nan-delta": (
+        "delta = 0.5", "delta = nan", r"\[optimizer\.congo-e\] delta: must be finite and > 0"
+    ),
+    "nan-learning-rate": (
+        "learning_rate = 0.1",
+        "learning_rate = nan",
+        r"\[optimizer\.congo-e\] learning_rate: eta must be finite",
+    ),
+    "inf-step-factor": (
+        "learning_rate = 0.1",
+        "learning_rate = step:1.0:5:inf",
+        r"\[optimizer\.congo-e\] learning_rate: step decay needs .* got 1\.0, 5, inf",
+    ),
+    "nan-inv-decay": (
+        "learning_rate = 0.1",
+        "learning_rate = inv:0.1:nan",
+        r"\[optimizer\.congo-e\] learning_rate: eta and decay must be finite",
+    ),
+    "nan-lipschitz": (
+        "lipschitz = 6.0",
+        "lipschitz = nan",
+        r"\[optimizer\.congo-e\] lipschitz: must be finite and >= 0, got nan",
+    ),
+    "nan-smoothness": (
+        "smoothness = 1.0",
+        "smoothness = nan",
+        r"\[optimizer\.congo-e\] smoothness: must be finite and >= 0, got nan",
+    ),
 }
 
 
@@ -88,6 +119,58 @@ def test_bad_specs_exit_2_before_any_run(case, tmp_path, capsys, monkeypatch):
     for line in err:
         assert line.startswith("error: ") and re.search(message, line), line
     assert not (tmp_path / "run").exists()
+
+
+QUADRATIC = """
+[experiment]
+kind = quadratic
+rounds = 2
+seeds = 0
+optimizers = congo-e
+
+[quadratic]
+dimension = 10
+sparsity = 2
+radius = 5.0
+
+[optimizer.defaults]
+learning_rate = 0.1
+delta = 0.5
+m = auto
+"""
+
+# whole error lines: (spec, text to replace, its replacement, pattern of the full line)
+FULL_LINES = {
+    "zero-rate": (
+        JACKSON, "rate = 2.0", "rate = 0",
+        r"error: \[workload\] rate must be finite and > 0, got 0\.0",
+    ),
+    "zero-segment-rate": (
+        JACKSON, WORKLOAD, RATE_SEGMENTS,
+        r"error: \[workload\] segments: rate of segment 2-2 must be finite and > 0, got 0\.0",
+    ),
+    "no-dimension": (
+        QUADRATIC, "dimension = 10\n", "",
+        r"error: \[quadratic\] dimension: missing required key",
+    ),
+    "unknown-simulation-key": (
+        JACKSON, "warmup_seconds = 1", "warmup_second = 1",
+        r"error: \[simulation\] warmup_second: unknown key \(known: correction_factor,"
+        r" initial_allocation, initial_entry_allocation, lower_bound, measure_seconds,"
+        r" resource_weight, upper_bound, warmup_seconds\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_LINES))
+def test_bad_spec_error_lines_in_full(case, tmp_path, capsys):
+    base, old, new, line = FULL_LINES[case]
+    assert old in base
+    spec = tmp_path / f"{case}.cfg"
+    spec.write_text(base.replace(old, new))
+    assert main(["validate", str(spec)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(line, err[0]), err
 
 
 def test_gd_on_jackson_makes_run_and_sweep_exit_2(tmp_path, capsys):

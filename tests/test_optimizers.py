@@ -104,6 +104,13 @@ class FlakyCostEnv(LinearEnv):
         return self.constraint_set.project(x + 1.0)
 
 
+class EscapingCorrectionEnv(FlakyCostEnv):
+    """Round 1 is unstable, and its correction leaves the box."""
+
+    def instability_correction(self, x):
+        return x + 100.0
+
+
 def profile(lipschitz=100.0, smoothness=1.0):
     return SmoothnessProfile(lipschitz=lipschitz, smoothness=smoothness)
 
@@ -291,6 +298,12 @@ def test_run_online_handles_unstable_cost_rounds():
     assert records[0].queries == 0 and records[0].clipped
     assert records[1].x[0] == pytest.approx(3.0)  # corrective bump, projected
     assert not np.isnan(records[1].cost)
+
+
+def test_run_online_raises_when_a_correction_leaves_the_box():
+    env = EscapingCorrectionEnv(np.array([0.0, 0.0]))
+    with pytest.raises(RuntimeError, match="round 1: the instability correction left the feasible set"):
+        run_online(cfg_for("nsgd"), env, 3, seed=0)
 
 
 def test_run_online_normalized_steps_have_unit_length():

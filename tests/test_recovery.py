@@ -13,7 +13,6 @@ from congo.core import ConfigurationError
 from congo.recovery import (
     RecoveryConfig,
     RecoveryOutcome,
-    _debias,
     _largest,
     _min_residual_on_cap,
     _polish,
@@ -240,8 +239,8 @@ def _ref_basis_pursuit(matrix, values, noise_level, norm_cap, cfg):
     candidates = []
     for candidate in (
         _polish(matrix, values, z),
-        _debias(matrix, values, z, correct=False),
-        _debias(matrix, values, z, correct=True),
+        _ref_debias(matrix, values, z, correct=False),
+        _ref_debias(matrix, values, z, correct=True),
         gap_point,
     ):
         if candidate is None:
@@ -255,6 +254,22 @@ def _ref_basis_pursuit(matrix, values, noise_level, norm_cap, cfg):
         return RecoveryOutcome(vector=None, dim=d, reason="infeasible")
     best = min(candidates, key=lambda c: float(np.sum(np.abs(c))))
     return RecoveryOutcome(vector=best, dim=d)
+
+
+def _ref_debias(matrix, values, z, correct):
+    magnitudes = np.abs(z)
+    top = float(magnitudes.max())
+    if top == 0.0:
+        return None
+    support = np.flatnonzero(magnitudes > 1e-3 * top)
+    if support.size == 0 or support.size > matrix.shape[0]:
+        return None
+    coef, *_ = np.linalg.lstsq(matrix[:, support], values, rcond=None)
+    debiased = np.zeros(matrix.shape[1])
+    debiased[support] = coef
+    if correct:
+        return _polish(matrix, values, debiased)
+    return debiased
 
 
 def _ref_project_ball(point, center, radius):

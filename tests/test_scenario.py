@@ -1,5 +1,7 @@
 """Spec-file parsing, preset resolution, and sweep expansion."""
 
+import configparser
+import dataclasses
 import re
 from pathlib import Path
 
@@ -7,10 +9,13 @@ import numpy as np
 import pytest
 
 from congo.core import ConfigurationError
-from congo.env_jackson import JacksonEnvironment
-from congo.env_quadratic import QuadraticAdversary, smoothness_bounds
+from congo.env_jackson import JacksonEnvironment, SimConfig
+from congo.env_quadratic import QuadraticAdversary, QuadraticAdversaryConfig, smoothness_bounds
 from congo.optimizers import ConstantRate, InverseDecayRate, StepDecayRate
 from congo.scenario import (
+    _EXPERIMENT_KEYS,
+    _OPTIMIZER_KEYS,
+    _SWEEP_KEYS,
     PRESET_ENV_VAR,
     find_preset,
     list_presets,
@@ -199,6 +204,10 @@ def test_spec_error_messages_name_the_field(tmp_path):
         (QUAD_SPEC + "\n[sweep]\nparameter = m\nvalues = 5\n", "values = 5", "value = 5",
          r"\[sweep\] value: unknown key"),
         (QUAD_SPEC, "radius = 25.0", "radius = 0", r"\[quadratic\] radius: must be > 0"),
+        (QUAD_SPEC, "radius = 25.0", "radius = inf",
+         r"\[quadratic\] radius: must be > 0 and finite, got inf"),
+        (QUAD_SPEC, "noise_sigma = 0.001", "noise_sigma = inf",
+         r"\[quadratic\] noise_sigma: must be >= 0 and finite, got inf"),
         (QUAD_SPEC, "sparsity = 4\nradius", "sparsity = 31\nradius",
          r"\[quadratic\] sparsity: need 1 <= sparsity <= dimension"),
         (JACKSON_SPEC, "mix = alpha", "rate = 2.0\nmix = alpha", r"\[workload\] rate: unknown key"),
@@ -245,6 +254,32 @@ def test_readme_scenario_examples_load(tmp_path):
     for spec in specs:
         spec.validate()
         spec.make_environment()
+
+
+def test_readme_examples_show_every_key():
+    # the README promises the quadratic example "with every key it accepts"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parsers = []
+    for block in re.findall(r"^```ini\n(.*?)^```", readme, flags=re.S | re.M):
+        parsers.append(configparser.ConfigParser(interpolation=None))
+        parsers[-1].read_string(block)
+    quadratic, jackson = parsers
+
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    optimizer_keys = set()
+    for section in quadratic.sections():
+        if section.startswith("optimizer."):
+            optimizer_keys.update(quadratic[section])
+    assert optimizer_keys == _OPTIMIZER_KEYS
+    assert set(quadratic["experiment"]) == _EXPERIMENT_KEYS
+    assert set(quadratic["quadratic"]) == fields(QuadraticAdversaryConfig)
+    assert set(quadratic["sweep"]) == _SWEEP_KEYS
+    assert set(jackson["simulation"]) == fields(SimConfig) | {
+        "initial_allocation",
+        "initial_entry_allocation",
+    }
 
 
 def test_auto_bounds_refused_outside_the_quadratic(tmp_path):
