@@ -17,9 +17,6 @@ from .env_jackson import (
     Topology,
     VariableMixWorkload,
     VariableRateWorkload,
-    apply_instability_correction,
-    latency_oracle,
-    round_cost,
     simulate_window,
 )
 from .harness import (

@@ -188,12 +188,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class LatencyObservation:
-    mean_latency: float
+    mean_latency: float  # NaN exactly when departures == 0
     departures: int
-
-    @property
-    def unstable(self) -> bool:
-        return self.departures == 0
 
 
 def simulate_window(
@@ -306,9 +302,8 @@ def simulate_window(
     rng.bit_generator.state = saved_state
     rng.standard_exponential(used)
 
-    if departures == 0:
-        return LatencyObservation(mean_latency=float("nan"), departures=0)
-    return LatencyObservation(mean_latency=total_sojourn / departures, departures=departures)
+    mean_latency = total_sojourn / departures if departures else math.nan
+    return LatencyObservation(mean_latency=mean_latency, departures=departures)
 
 
 def _poisson_arrivals(rate: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
@@ -322,45 +317,6 @@ def _poisson_arrivals(rate: float, horizon: float, rng: np.random.Generator) -> 
         if not bool(inside.all()):
             return np.concatenate(pieces)
         start = float(cum[-1])
-
-
-def round_cost(observation: LatencyObservation, allocation: np.ndarray, weight: float) -> float:
-    """Mean latency plus weight * total allocation; NaN for unstable windows."""
-    if observation.unstable:
-        return float("nan")
-    return observation.mean_latency + weight * float(np.sum(allocation))
-
-
-def apply_instability_correction(
-    allocation: np.ndarray, factor: float, box: Box
-) -> np.ndarray:
-    """Bump every queue's allocation by factor, then project back into the box."""
-    return box.project(np.asarray(allocation, dtype=float) + factor)
-
-
-def latency_oracle(
-    topology: Topology,
-    rate: float,
-    mix: dict[str, float],
-    sim_cfg: SimConfig,
-    rng: np.random.Generator,
-) -> ValueOracle:
-    """Oracle over allocations: each query burns one full window, returns latency only.
-
-    The resource term weight * sum(x) is linear with known gradient, so
-    optimizers receive it separately instead of estimating it from samples.
-
-    Every query runs an independent window (the shared rng advances), so two
-    queries of the same allocation return different values. Finite differences
-    therefore carry full window-to-window noise; that per-query noise level is
-    exactly what the estimator comparison is about.
-    """
-
-    def query(allocation: np.ndarray) -> float:
-        obs = simulate_window(topology, rate, mix, allocation, sim_cfg, rng)
-        return obs.mean_latency
-
-    return ValueOracle(pointwise(query))
 
 
 class JacksonEnvironment:
@@ -380,10 +336,15 @@ class JacksonEnvironment:
             lower=np.full(topology.num_queues, sim_cfg.lower_bound),
             upper=np.full(topology.num_queues, sim_cfg.upper_bound),
         )
-        initial = np.asarray(initial_allocation, dtype=float)
+        initial = np.array(initial_allocation, dtype=float)
         if initial.shape != (topology.num_queues,):
             raise ConfigurationError("initial allocation length does not match queue count")
-        self._initial = self.constraint_set.project(initial)
+        if not self.constraint_set.contains(initial):
+            raise ConfigurationError(
+                "initial allocation lies outside [lower_bound, upper_bound]"
+                f" = [{sim_cfg.lower_bound}, {sim_cfg.upper_bound}]"
+            )
+        self._initial = initial
         self._rng: np.random.Generator | None = None
         self._rate = 0.0
         self._mix: dict[str, float] = {}
@@ -400,11 +361,24 @@ class JacksonEnvironment:
         self._rate, self._mix = self.schedule.at(t)
 
     def incur(self, x: np.ndarray) -> float:
+        """Mean latency of one fresh window plus resource_weight * sum(x); NaN if unstable."""
         obs = simulate_window(self.topology, self._rate, self._mix, x, self.sim_cfg, self._rng)
-        return round_cost(obs, x, self.sim_cfg.resource_weight)
+        return obs.mean_latency + self.sim_cfg.resource_weight * float(np.sum(x))
 
     def oracle(self) -> ValueOracle:
-        return latency_oracle(self.topology, self._rate, self._mix, self.sim_cfg, self._rng)
+        """Latency only, one fresh window per query; gradient_offset carries the resource term.
+
+        The shared rng advances, so two queries of the same allocation differ and
+        finite differences carry full window-to-window noise: the noise level
+        the estimator comparison is about.
+        """
+        rate, mix = self._rate, self._mix
+
+        def latency(x: np.ndarray) -> float:
+            obs = simulate_window(self.topology, rate, mix, x, self.sim_cfg, self._rng)
+            return obs.mean_latency
+
+        return ValueOracle(pointwise(latency))
 
     def gradient_offset(self) -> np.ndarray:
         return np.full(self.dim, self.sim_cfg.resource_weight)
@@ -413,4 +387,5 @@ class JacksonEnvironment:
         return None
 
     def instability_correction(self, x: np.ndarray) -> np.ndarray:
-        return apply_instability_correction(x, self.sim_cfg.correction_factor, self.constraint_set)
+        """Bump every queue's allocation by correction_factor, then project back into the box."""
+        return self.constraint_set.project(x + self.sim_cfg.correction_factor)

@@ -69,6 +69,8 @@ class QuadraticAdversaryConfig:
                 raise ConfigurationError(
                     f"{key}: must be >= 0 and finite, got {getattr(self, key)}"
                 )
+        if self.fixed_constant is not None and not math.isfinite(self.fixed_constant):
+            raise ConfigurationError(f"fixed_constant: must be finite, got {self.fixed_constant}")
         if not 0.0 <= self.start_fraction <= 1.0:
             raise ConfigurationError(
                 f"start_fraction: must lie in [0, 1], got {self.start_fraction}"

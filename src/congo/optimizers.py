@@ -113,15 +113,19 @@ class OptimizerConfig:
             raise ConfigurationError(f"unknown optimizer {self.name!r}")
         if self.name != "gd" and not 0 < self.delta < math.inf:
             raise ConfigurationError(f"delta: must be finite and > 0, got {self.delta}")
-        if self.m < 1 or self.sparsity < 1:
-            raise ConfigurationError("m and sparsity must be >= 1")
-        if self.k is not None and self.k < 1:
-            raise ConfigurationError("averaging count must be >= 1")
+        for key in ("sparsity", "m", "k"):
+            value = getattr(self, key)
+            if value is not None and value < 1:  # k None: the default averaging count
+                raise ConfigurationError(f"{key}: must be >= 1, got {value}")
         if self.distribution is not None and self.distribution not in _DISTRIBUTIONS:
             raise ConfigurationError(
                 f"distribution {self.distribution!r} is not one of {', '.join(_DISTRIBUTIONS)}"
             )
-        self.recovery_config()  # rejects a bad recovery tolerance or iteration cap
+        try:
+            self.recovery_config()  # rejects a bad tolerance or iteration cap
+        except ConfigurationError as exc:
+            # RecoveryConfig names its fields without the recovery_ prefix of the keys
+            raise ConfigurationError(f"recovery_{exc}") from None
 
     def matrix_distribution(self) -> str:
         if self.distribution is not None:

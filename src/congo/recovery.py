@@ -27,11 +27,11 @@ class RecoveryConfig:
 
     def __post_init__(self):
         if self.sparsity < 1:
-            raise ConfigurationError(f"sparsity must be >= 1, got {self.sparsity}")
-        if self.tolerance <= 0:
-            raise ConfigurationError(f"tolerance must be > 0, got {self.tolerance}")
+            raise ConfigurationError(f"sparsity: must be >= 1, got {self.sparsity}")
+        if not 0 < self.tolerance < math.inf:
+            raise ConfigurationError(f"tolerance: must be finite and > 0, got {self.tolerance}")
         if self.max_iterations < 1:
-            raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
+            raise ConfigurationError(f"max_iterations: must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import configparser
 import dataclasses
 import os
 import typing
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -327,7 +328,7 @@ def _build_quadratic(parser):
     if not parser.has_section("quadratic"):
         raise ConfigurationError("missing [quadratic] section")
     cfg = _Section.of(parser, "quadratic").into(QuadraticAdversaryConfig)
-    return (lambda: QuadraticAdversary(cfg)), cfg.dimension, cfg.radius
+    return partial(QuadraticAdversary, cfg), cfg.dimension, cfg.radius
 
 
 def _build_jackson(parser, horizon):
@@ -382,11 +383,7 @@ def _build_jackson(parser, horizon):
             )
     initial = np.full(num_queues, base)
     initial[topology.entry] = entry_alloc
-
-    def make_env():
-        return JacksonEnvironment(topology, schedule, sim_cfg, initial)
-
-    return make_env, num_queues, None
+    return partial(JacksonEnvironment, topology, schedule, sim_cfg, initial), num_queues, None
 
 
 def _build_optimizer(parser, opt_name, kind, dim, radius, overrides) -> OptimizerConfig:
@@ -408,23 +405,7 @@ def _build_optimizer(parser, opt_name, kind, dim, radius, overrides) -> Optimize
     else:
         m = sec.integer("m", 1)
 
-    for bound in ("lipschitz", "smoothness"):
-        if sec.raw(bound) == "auto":
-            if kind != "quadratic":
-                raise ConfigurationError(
-                    f"[{sec.name}] {bound}: auto bounds exist only for the quadratic adversary"
-                )
-            merged[bound] = ""  # sec reads merged: auto now reads as unset
-    if kind == "quadratic" and sec.raw("lipschitz", "") == "":
-        profile = smoothness_bounds(radius, sparsity)
-    else:
-        profile = _build(
-            sec.name,
-            SmoothnessProfile,
-            lipschitz=sec.floating("lipschitz", 0.0),
-            smoothness=sec.floating("smoothness", 0.0),
-        )
-
+    profile = _read_bounds(sec, kind, radius, sparsity)
     k = None if sec.raw("k", "") in ("", "auto") else sec.integer("k", 1)
     return sec.into(
         OptimizerConfig,
@@ -435,6 +416,36 @@ def _build_optimizer(parser, opt_name, kind, dim, radius, overrides) -> Optimize
         m=m,
         k=k,
         smoothness=profile,
+    )
+
+
+def _read_bounds(sec: _Section, kind: str, radius, sparsity: int) -> SmoothnessProfile:
+    """lipschitz and smoothness as a pair: both numbers, or on a quadratic both auto or unset."""
+    text = {key: sec.raw(key, "") for key in ("lipschitz", "smoothness")}
+    derived = [key for key in text if text[key] in ("", "auto")]
+    if not derived:
+        return _build(sec.name, SmoothnessProfile, **{key: sec.floating(key) for key in text})
+    if kind != "quadratic":
+        for key in derived:
+            if text[key] == "auto":
+                raise ConfigurationError(
+                    f"[{sec.name}] {key}: auto bounds exist only for the quadratic adversary"
+                )
+        raise ConfigurationError(
+            f"[{sec.name}] {derived[0]}: missing required key"
+            " (a jackson network has no auto bounds)"
+        )
+    if len(derived) == 2:
+        return smoothness_bounds(radius, sparsity)
+    (key,), (given,) = derived, set(text) - set(derived)
+    if text[key] == "auto":
+        raise ConfigurationError(
+            f"[{sec.name}] {given}: {text[given]} would be ignored, because {key} = auto"
+            " derives both bounds"
+        )
+    raise ConfigurationError(
+        f"[{sec.name}] {key}: missing required key"
+        f" ({given} is set, and the two bounds come as a pair)"
     )
 
 

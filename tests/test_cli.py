@@ -36,91 +36,6 @@ lipschitz = 6.0
 smoothness = 1.0
 """
 
-WORKLOAD = "[workload]\nrate = 2.0\nmix = a:1.0\n"
-RATE_SEGMENTS = "[workload]\nkind = variable-rate\nsegments = 1-1:2.0 2-2:0\nmix = a:1.0\n"
-MIX_DRIFT = (
-    "[workload]\nkind = variable-mix\nrate = 2.0\ninitial_mix = a:1.0\nfinal_mix = a:0.4\n"
-    "start_round = 1\nend_round = 2\n"
-)
-OPT = "smoothness = 1.0"
-
-# spec errors that would otherwise surface only inside a run: (text of JACKSON
-# to replace, its replacement, pattern the error message must match)
-BAD_SPECS = {
-    "zero-rate": ("rate = 2.0", "rate = 0", r"\[workload\] rate must be finite and > 0"),
-    "mix-short": ("mix = a:1.0", "mix = a:0.5", r"\[workload\] mix probabilities sum to 0.5"),
-    "mix-unknown-job": (
-        "mix = a:1.0", "mix = b:1.0", r"\[workload\] mix references unknown job type 'b'"
-    ),
-    "zero-tolerance": (
-        OPT, OPT + "\nrecovery_tolerance = 0", r"\[optimizer\.congo-e\] tolerance must be > 0"
-    ),
-    "zero-iterations": (
-        OPT, OPT + "\nrecovery_max_iterations = 0", r"\[optimizer\.congo-e\] max_iterations"
-    ),
-    "bogus-distribution": (
-        OPT, OPT + "\ndistribution = bogus", r"\[optimizer\.congo-e\] distribution 'bogus'"
-    ),
-    "gd-on-jackson": (
-        "optimizers = congo-e", "optimizers = congo-e gd", r"\[experiment\] optimizers: gd"
-    ),
-    "zero-segment-rate": (WORKLOAD, RATE_SEGMENTS, r"\[workload\] segments: rate of segment 2-2"),
-    "bad-final-mix": (WORKLOAD, MIX_DRIFT, r"\[workload\] final_mix probabilities sum to 0.4"),
-    "nan-weight": (
-        "initial_allocation = 4",
-        "initial_allocation = 4\nresource_weight = nan",
-        r"\[simulation\] resource_weight: must be finite and >= 0",
-    ),
-    # numpy refuses a negative seed only once a run starts
-    "negative-seed": ("seeds = 0", "seeds = -3", r"\[experiment\] seeds: -3 is negative"),
-    # each non-finite value below loaded and then broke or silently changed the run
-    "nan-delta": (
-        "delta = 0.5", "delta = nan", r"\[optimizer\.congo-e\] delta: must be finite and > 0"
-    ),
-    "nan-learning-rate": (
-        "learning_rate = 0.1",
-        "learning_rate = nan",
-        r"\[optimizer\.congo-e\] learning_rate: eta must be finite",
-    ),
-    "inf-step-factor": (
-        "learning_rate = 0.1",
-        "learning_rate = step:1.0:5:inf",
-        r"\[optimizer\.congo-e\] learning_rate: step decay needs .* got 1\.0, 5, inf",
-    ),
-    "nan-inv-decay": (
-        "learning_rate = 0.1",
-        "learning_rate = inv:0.1:nan",
-        r"\[optimizer\.congo-e\] learning_rate: eta and decay must be finite",
-    ),
-    "nan-lipschitz": (
-        "lipschitz = 6.0",
-        "lipschitz = nan",
-        r"\[optimizer\.congo-e\] lipschitz: must be finite and >= 0, got nan",
-    ),
-    "nan-smoothness": (
-        "smoothness = 1.0",
-        "smoothness = nan",
-        r"\[optimizer\.congo-e\] smoothness: must be finite and >= 0, got nan",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_SPECS))
-def test_bad_specs_exit_2_before_any_run(case, tmp_path, capsys, monkeypatch):
-    old, new, message = BAD_SPECS[case]
-    assert old in JACKSON
-    spec = tmp_path / f"{case}.cfg"
-    spec.write_text(JACKSON.replace(old, new))
-    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("a run started"))
-    assert main(["validate", str(spec)]) == 2
-    assert main(["run", str(spec), "--out", str(tmp_path / "run")]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2
-    for line in err:
-        assert line.startswith("error: ") and re.search(message, line), line
-    assert not (tmp_path / "run").exists()
-
-
 QUADRATIC = """
 [experiment]
 kind = quadratic
@@ -138,6 +53,126 @@ learning_rate = 0.1
 delta = 0.5
 m = auto
 """
+
+WORKLOAD = "[workload]\nrate = 2.0\nmix = a:1.0\n"
+RATE_SEGMENTS = "[workload]\nkind = variable-rate\nsegments = 1-1:2.0 2-2:0\nmix = a:1.0\n"
+MIX_DRIFT = (
+    "[workload]\nkind = variable-mix\nrate = 2.0\ninitial_mix = a:1.0\nfinal_mix = a:0.4\n"
+    "start_round = 1\nend_round = 2\n"
+)
+OPT = "smoothness = 1.0"
+
+# spec errors that would otherwise surface only inside a run, or never: (spec,
+# text of it to replace, its replacement, pattern the error message must match)
+BAD_SPECS = {
+    "zero-rate": (JACKSON, "rate = 2.0", "rate = 0", r"\[workload\] rate must be finite and > 0"),
+    "mix-short": (
+        JACKSON, "mix = a:1.0", "mix = a:0.5", r"\[workload\] mix probabilities sum to 0.5"
+    ),
+    "mix-unknown-job": (
+        JACKSON, "mix = a:1.0", "mix = b:1.0", r"\[workload\] mix references unknown job type 'b'"
+    ),
+    "zero-tolerance": (
+        JACKSON, OPT, OPT + "\nrecovery_tolerance = 0",
+        r"\[optimizer\.congo-e\] recovery_tolerance: must be finite and > 0, got 0\.0",
+    ),
+    "nan-tolerance": (
+        JACKSON, OPT, OPT + "\nrecovery_tolerance = nan",
+        r"\[optimizer\.congo-e\] recovery_tolerance: must be finite and > 0, got nan",
+    ),
+    "zero-iterations": (
+        JACKSON, OPT, OPT + "\nrecovery_max_iterations = 0",
+        r"\[optimizer\.congo-e\] recovery_max_iterations: must be >= 1, got 0",
+    ),
+    "zero-m": (JACKSON, "m = 2", "m = 0", r"\[optimizer\.congo-e\] m: must be >= 1, got 0"),
+    "zero-k": (JACKSON, OPT, OPT + "\nk = 0", r"\[optimizer\.congo-e\] k: must be >= 1, got 0"),
+    "bogus-distribution": (
+        JACKSON, OPT, OPT + "\ndistribution = bogus", r"\[optimizer\.congo-e\] distribution 'bogus'"
+    ),
+    "gd-on-jackson": (
+        JACKSON, "optimizers = congo-e", "optimizers = congo-e gd", r"\[experiment\] optimizers: gd"
+    ),
+    "zero-segment-rate": (
+        JACKSON, WORKLOAD, RATE_SEGMENTS, r"\[workload\] segments: rate of segment 2-2"
+    ),
+    "bad-final-mix": (
+        JACKSON, WORKLOAD, MIX_DRIFT, r"\[workload\] final_mix probabilities sum to 0.4"
+    ),
+    "nan-weight": (
+        JACKSON, "initial_allocation = 4", "initial_allocation = 4\nresource_weight = nan",
+        r"\[simulation\] resource_weight: must be finite and >= 0",
+    ),
+    # numpy refuses a negative seed only once a run starts
+    "negative-seed": (JACKSON, "seeds = 0", "seeds = -3", r"\[experiment\] seeds: -3 is negative"),
+    # each non-finite value below loaded and then broke or silently changed the run
+    "nan-delta": (
+        JACKSON, "delta = 0.5", "delta = nan",
+        r"\[optimizer\.congo-e\] delta: must be finite and > 0",
+    ),
+    "nan-learning-rate": (
+        JACKSON, "learning_rate = 0.1", "learning_rate = nan",
+        r"\[optimizer\.congo-e\] learning_rate: eta must be finite",
+    ),
+    "inf-step-factor": (
+        JACKSON, "learning_rate = 0.1", "learning_rate = step:1.0:5:inf",
+        r"\[optimizer\.congo-e\] learning_rate: step decay needs .* got 1\.0, 5, inf",
+    ),
+    "nan-inv-decay": (
+        JACKSON, "learning_rate = 0.1", "learning_rate = inv:0.1:nan",
+        r"\[optimizer\.congo-e\] learning_rate: eta and decay must be finite",
+    ),
+    "nan-lipschitz": (
+        JACKSON, "lipschitz = 6.0", "lipschitz = nan",
+        r"\[optimizer\.congo-e\] lipschitz: must be finite and >= 0, got nan",
+    ),
+    "nan-smoothness": (
+        JACKSON, "smoothness = 1.0", "smoothness = nan",
+        r"\[optimizer\.congo-e\] smoothness: must be finite and >= 0, got nan",
+    ),
+    "nan-fixed-constant": (
+        QUADRATIC, "radius = 5.0", "radius = 5.0\nfixed_constant = nan",
+        r"\[quadratic\] fixed_constant: must be finite, got nan",
+    ),
+    # lipschitz and smoothness come as a pair; each case below once loaded with
+    # one bound dropped or zeroed
+    "smoothness-without-lipschitz": (
+        QUADRATIC, "m = auto", "m = auto\nsmoothness = 123",
+        r"\[optimizer\.congo-e\] lipschitz: missing required key \(smoothness is set",
+    ),
+    "auto-lipschitz-with-smoothness": (
+        QUADRATIC, "m = auto", "m = auto\nlipschitz = auto\nsmoothness = 2.0",
+        r"\[optimizer\.congo-e\] smoothness: 2\.0 would be ignored, because lipschitz = auto",
+    ),
+    "lipschitz-alone": (
+        QUADRATIC, "m = auto", "m = auto\nlipschitz = 4.0",
+        r"\[optimizer\.congo-e\] smoothness: missing required key \(lipschitz is set",
+    ),
+    "jackson-lipschitz-alone": (
+        JACKSON, "smoothness = 1.0\n", "",
+        r"\[optimizer\.congo-e\] smoothness: missing required key \(a jackson network",
+    ),
+    "jackson-no-bounds": (
+        JACKSON, "lipschitz = 6.0\nsmoothness = 1.0\n", "",
+        r"\[optimizer\.congo-e\] lipschitz: missing required key \(a jackson network",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_bad_specs_exit_2_before_any_run(case, tmp_path, capsys, monkeypatch):
+    base, old, new, message = BAD_SPECS[case]
+    assert old in base
+    spec = tmp_path / f"{case}.cfg"
+    spec.write_text(base.replace(old, new))
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("a run started"))
+    assert main(["validate", str(spec)]) == 2
+    assert main(["run", str(spec), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line in err:
+        assert line.startswith("error: ") and re.search(message, line), line
+    assert not (tmp_path / "run").exists()
+
 
 # whole error lines: (spec, text to replace, its replacement, pattern of the full line)
 FULL_LINES = {

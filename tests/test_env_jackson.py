@@ -22,10 +22,7 @@ from congo.env_jackson import (
     Topology,
     VariableMixWorkload,
     VariableRateWorkload,
-    apply_instability_correction,
     _poisson_arrivals,
-    latency_oracle,
-    round_cost,
     simulate_window,
 )
 from congo.scenario import find_preset, load_spec
@@ -151,7 +148,7 @@ def test_simulate_window_is_deterministic_per_rng_state():
     )
     assert obs1.mean_latency == obs2.mean_latency
     assert obs1.departures == obs2.departures
-    assert not obs1.unstable
+    assert obs1.departures > 0
 
 
 def test_more_capacity_means_less_waiting():
@@ -190,7 +187,7 @@ def test_empty_window_is_unstable():
     obs = simulate_window(
         SINGLE, 1e-9, ONE_JOB, np.array([1.0]), quick_cfg(), np.random.default_rng(0)
     )
-    assert obs.unstable
+    assert obs.departures == 0
     assert np.isnan(obs.mean_latency)
 
 
@@ -205,28 +202,42 @@ def test_reentrant_route_completes():
     assert obs.mean_latency > 2.0 / 5.1
 
 
-def test_round_cost_and_correction():
-    from congo.env_jackson import LatencyObservation
+def test_incur_adds_the_resource_term_and_is_nan_when_unstable():
+    cfg = quick_cfg(resource_weight=0.5)
+    x = np.array([2.0, 3.0])
+    env = JacksonEnvironment(TANDEM, FixedWorkload(rate=2.0, mix=ONE_JOB), cfg, x)
+    env.reset(5)
+    env.begin_round(1)
+    # the simulator stream of seed s is default_rng([s, 1]), as README "Determinism" says
+    window = simulate_window(TANDEM, 2.0, ONE_JOB, x, cfg, np.random.default_rng([5, 1]))
+    assert window.departures > 0
+    assert env.incur(x) == window.mean_latency + 0.5 * 5.0
 
-    stable = LatencyObservation(mean_latency=1.5, departures=10)
-    assert round_cost(stable, np.array([2.0, 3.0]), weight=0.5) == pytest.approx(1.5 + 2.5)
-    unstable = LatencyObservation(mean_latency=float("nan"), departures=0)
-    assert np.isnan(round_cost(unstable, np.array([2.0]), weight=1.0))
-
-    from congo.core import Box
-
-    box = Box(lower=np.zeros(2), upper=np.full(2, 5.0))
-    bumped = apply_instability_correction(np.array([4.5, 1.0]), 1.0, box)
-    assert np.allclose(bumped, [5.0, 2.0])
+    # so small an arrival rate leaves the window without departures
+    idle = JacksonEnvironment(TANDEM, FixedWorkload(rate=1e-9, mix=ONE_JOB), cfg, x)
+    idle.reset(0)
+    idle.begin_round(1)
+    assert np.isnan(idle.incur(x))
 
 
-def test_latency_oracle_windows_are_independent():
-    rng = np.random.default_rng(1)
-    oracle = latency_oracle(SINGLE, 2.0, ONE_JOB, quick_cfg(), rng)
+def test_instability_correction_bumps_then_projects():
+    cfg = quick_cfg(lower_bound=0.0, upper_bound=5.0, correction_factor=1.0)
+    env = JacksonEnvironment(TANDEM, FixedWorkload(rate=2.0, mix=ONE_JOB), cfg, np.ones(2))
+    assert np.allclose(env.instability_correction(np.array([4.5, 1.0])), [5.0, 2.0])
+
+
+def test_oracle_windows_are_independent():
+    env = JacksonEnvironment(SINGLE, FixedWorkload(rate=2.0, mix=ONE_JOB), quick_cfg(), [4.0])
+    env.reset(1)
+    env.begin_round(1)
+    oracle = env.oracle()
     x = np.array([4.0])
     first, second = oracle(np.stack([x, x]))
     assert oracle.queries == 2
     assert first != second  # fresh window per query, no common-random-numbers reuse
+    # latency only: the resource term reaches the optimizers through gradient_offset
+    rng = np.random.default_rng([1, 1])
+    assert first == simulate_window(SINGLE, 2.0, ONE_JOB, x, quick_cfg(), rng).mean_latency
 
 
 def test_environment_round_protocol():
@@ -249,12 +260,12 @@ def test_environment_round_protocol():
     assert np.allclose(corrected, [60.0, 5.0])
 
 
-def test_environment_initial_allocation_is_projected():
+def test_environment_rejects_an_initial_allocation_outside_the_box():
     schedule = FixedWorkload(rate=1.0, mix=ONE_JOB)
-    env = JacksonEnvironment(TANDEM, schedule, quick_cfg(), np.array([0.0, 99.0]))
-    start = env.reset(0)
-    assert np.array_equal(start, [1.0, 60.0])
-    with pytest.raises(ConfigurationError):
+    bounds = r"outside \[lower_bound, upper_bound\] = \[1.0, 60.0\]"
+    with pytest.raises(ConfigurationError, match=bounds):
+        JacksonEnvironment(TANDEM, schedule, quick_cfg(), np.array([0.0, 99.0]))
+    with pytest.raises(ConfigurationError, match="length"):
         JacksonEnvironment(TANDEM, schedule, quick_cfg(), np.array([1.0]))
 
 

@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import pickle
 import re
 from pathlib import Path
 
@@ -378,3 +379,17 @@ def test_every_shipped_preset_parses_and_validates(monkeypatch):
         assert spec.horizon >= 1
         env = spec.make_environment()
         assert env.dim >= 1
+        # specs are plain data, so a process can receive one
+        twin = pickle.loads(pickle.dumps(spec)).make_environment()
+        start = env.reset(0)
+        assert np.array_equal(twin.reset(0), start)
+        env.begin_round(1)
+        twin.begin_round(1)
+        assert twin.incur(start) == env.incur(start)
+
+
+def test_readme_preset_table_names_every_packaged_preset():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Packaged presets", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"^\| `([^`]+)` \|", table, flags=re.M)
+    assert sorted(named) == sorted(path.stem for path in packaged_preset_dir().glob("*.cfg"))
