@@ -55,14 +55,13 @@ from .optimizers import (
     congo_step,
     gdsp_step,
     nsgd_step,
+    postprocess,
     run_online,
 )
 from .recovery import (
     RecoveryConfig,
-    RecoveryOutcome,
     basis_pursuit,
     cosamp,
-    postprocess,
     rescale,
 )
 from .sensing import (

@@ -23,10 +23,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", help="override the spec's seeds, e.g. 0-9 or 1,2,5")
         p.add_argument("--out", help="output directory (default results/<name>)")
         p.add_argument("--jobs", type=int, default=1, help="parallel runs (default 1)")
-        p.add_argument("--no-plot", action="store_true", help="skip the SVG plot")
 
     run_p = sub.add_parser("run", help="run one experiment spec")
     add_common(run_p)
+    run_p.add_argument("--no-plot", action="store_true", help="skip the SVG plot")
     sweep_p = sub.add_parser("sweep", help="expand and run a spec's [sweep] section")
     add_common(sweep_p)
     sub.add_parser("list-presets", help="list shipped and user preset specs")

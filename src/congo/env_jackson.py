@@ -1,7 +1,7 @@
 """Queueing-network environment: typed jobs over FIFO exponential-server queues.
 
 Jobs arrive in a Poisson stream, draw a type from the round's mix, and follow
-that type's fixed route of queues (all routes share one entry queue). Queue i
+that type's fixed route of queues (every route starts at queue 0). Queue i
 serves at rate allocation_i + 0.1. A cost query simulates one fresh window
 (warm-up then measurement) and reports the mean end-to-end latency of jobs
 that left the system during the measurement span; the linear resource cost is
@@ -21,33 +21,31 @@ from .core import Box, ConfigurationError
 from .sensing import ValueOracle, pointwise
 
 SERVICE_RATE_FLOOR = 0.1
+ENTRY_QUEUE = 0  # every route starts here
 
 _SIM_STREAM = 1
 
 
 @dataclass(frozen=True)
 class Topology:
-    """Queue count plus one fixed route per job type; routes start at the entry."""
+    """Queue count plus one fixed route per job type; routes start at ENTRY_QUEUE."""
 
     num_queues: int
     routes: dict[str, tuple[int, ...]]
-    entry: int = 0
 
     def __post_init__(self):
         if self.num_queues < 1:
             raise ConfigurationError(f"queues: need at least one queue, got {self.num_queues}")
         if not self.routes:
             raise ConfigurationError("route.<job>: need at least one job type")
-        if not 0 <= self.entry < self.num_queues:
-            raise ConfigurationError(f"entry index {self.entry} out of range")
         clean = {}
         for name, route in self.routes.items():
             route = tuple(int(q) for q in route)
             key = f"route.{name}"
             if not route:
                 raise ConfigurationError(f"{key}: the route is empty")
-            if route[0] != self.entry:
-                raise ConfigurationError(f"{key}: does not start at the entry queue {self.entry}")
+            if route[0] != ENTRY_QUEUE:
+                raise ConfigurationError(f"{key}: does not start at the entry queue {ENTRY_QUEUE}")
             for q in route:
                 if not 0 <= q < self.num_queues:
                     raise ConfigurationError(
@@ -242,7 +240,7 @@ def simulate_window(
 
     arrival_times = arrivals.tolist()
     mean_service = mean_service.tolist()
-    entry = topology.entry
+    entry = ENTRY_QUEUE
     stage = [0] * n
     waiting = [deque() for _ in range(topology.num_queues)]
     in_service = [-1] * topology.num_queues

@@ -11,8 +11,9 @@ the per-round gradient estimate is produced:
   sgdsp    same estimator as gdsp (name used on stochastic environments)
   nsgd     one forward difference per coordinate
 
-Oversized or failed recoveries are clipped to zero, which makes that round's
-step the identity.
+Every estimated round passes one gate, postprocess, which zeroes a missing,
+non-finite or oversized estimate and marks the round clipped. A clipped round
+takes no estimated step; an environment's known gradient offset still applies.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .core import (
     SmoothnessProfile,
     gd_update,
 )
-from .recovery import RecoveryConfig, basis_pursuit, cosamp, postprocess, rescale
+from .recovery import RecoveryConfig, basis_pursuit, cosamp, rescale
 from .sensing import (
     _DISTRIBUTIONS,
     ValueOracle,
@@ -147,10 +148,13 @@ class OptimizerConfig:
         return self.m  # sample-matched SPSA: m draws plus the shared base query
 
     def clip_cap(self) -> float:
+        """Largest estimate norm the gate keeps; only the congo-* estimators have a cap."""
         prof = self.smoothness
         if self.name == "congo-b":
             return prof.lipschitz + 3.0 * prof.smoothness * self.delta
-        return prof.lipschitz + (COSAMP_ERROR_GAIN / 2.0) * prof.smoothness * self.delta
+        if self.name in CS_VARIANTS:
+            return prof.lipschitz + (COSAMP_ERROR_GAIN / 2.0) * prof.smoothness * self.delta
+        return math.inf
 
 
 @dataclass
@@ -159,81 +163,73 @@ class RoundRecord:
     x: np.ndarray
     cost: float
     queries: int
-    estimate: GradientEstimate
+    clipped: bool  # the round took no estimated step
     grad_error: float | None = None
-
-    @property
-    def clipped(self) -> bool:
-        return self.estimate.clipped
 
 
 def congo_step(
     cfg: OptimizerConfig, oracle: ValueOracle, x: np.ndarray, rng: np.random.Generator
-) -> GradientEstimate:
-    """One compressed gradient estimate: measure, rescale, recover, clip."""
+) -> np.ndarray | None:
+    """One compressed gradient estimate: measure, rescale, recover; None if infeasible."""
     matrix = draw_matrix(cfg.m, x.shape[0], cfg.matrix_distribution(), rng)
-    cap = cfg.clip_cap()
     if cfg.name == "congo-b":
         measured = measure_combined(oracle, x, matrix, cfg.delta, cfg.averaging_count(), rng)
         noise_level = 3.0 * cfg.smoothness.smoothness * cfg.delta
-        outcome = basis_pursuit(
-            *rescale(matrix, measured), noise_level, cap, cfg.recovery_config()
+        return basis_pursuit(
+            *rescale(matrix, measured), noise_level, cfg.clip_cap(), cfg.recovery_config()
         )
-    else:
-        measured = measure_single_row(oracle, x, matrix, cfg.delta)
-        outcome = cosamp(*rescale(matrix, measured), cfg.recovery_config())
-    return postprocess(outcome, cap)
+    measured = measure_single_row(oracle, x, matrix, cfg.delta)
+    return cosamp(*rescale(matrix, measured), cfg.recovery_config())
 
 
 def gdsp_step(
     cfg: OptimizerConfig, oracle: ValueOracle, x: np.ndarray, rng: np.random.Generator
-) -> GradientEstimate:
+) -> np.ndarray:
     """Averaged simultaneous-perturbation estimate; draws share the base query."""
     draws = cfg.averaging_count()
     signs = rng.integers(0, 2, size=(draws, x.shape[0])).astype(float) * 2.0 - 1.0
     # (probe - base) / (delta * sign_j) == (probe - base) / delta * sign_j
     scaled = forward_differences(oracle, x, signs, np.full(draws, cfg.delta)) / cfg.delta
-    return GradientEstimate((scaled[:, None] * signs).sum(axis=0) / draws)
+    return (scaled[:, None] * signs).sum(axis=0) / draws
 
 
 def nsgd_step(
     cfg: OptimizerConfig, oracle: ValueOracle, x: np.ndarray, rng: np.random.Generator
-) -> GradientEstimate:
+) -> np.ndarray:
     """One forward difference per coordinate; d+1 queries."""
     d = x.shape[0]
     diffs = forward_differences(oracle, x, np.eye(d), np.full(d, cfg.delta))
-    return GradientEstimate(diffs / cfg.delta)
+    return diffs / cfg.delta
 
 
 def run_online(cfg: OptimizerConfig, env, horizon: int, seed: int) -> list[RoundRecord]:
     """Play cfg against env for horizon rounds; deterministic given the seed.
 
     Per round: incur the cost at the current point, estimate the gradient with
-    the configured scheme, add any analytically known gradient component, then
-    take a projected step. An unstable cost observation (NaN) skips the step
-    and applies the environment's corrective bump instead.
+    the configured scheme, pass the estimate through postprocess, add any
+    analytically known gradient component, then take a projected step. An
+    unstable cost observation (NaN) skips the step and applies the
+    environment's corrective bump instead.
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     x = env.reset(seed)
     rng = np.random.default_rng([seed, _OPT_STREAM])
     cset = env.constraint_set
+    cap = cfg.clip_cap()
     records: list[RoundRecord] = []
     for t in range(1, horizon + 1):
         env.begin_round(t)
         cost = env.incur(x)
         if math.isnan(cost):
             log.info("round %d: unstable cost observation, applying correction", t)
-            estimate = GradientEstimate(np.zeros(env.dim), clipped=True)
-            records.append(RoundRecord(t=t, x=x.copy(), cost=cost, queries=0, estimate=estimate))
+            records.append(RoundRecord(t=t, x=x.copy(), cost=cost, queries=0, clipped=True))
             x = env.instability_correction(x)
             _check_feasible(cset, x, t, "the instability correction")
             continue
-        estimate, queries = _estimate(cfg, env, x, rng)
-        if not np.all(np.isfinite(estimate.vector)):
-            log.warning("round %d: non-finite gradient estimate, clipping to zero", t)
-            estimate = GradientEstimate(np.zeros(env.dim), clipped=True)
-        step_vector = estimate.vector  # clipping already zeroed rejected estimates
+        raw, queries = _estimate(cfg, env, x, rng)
+        estimate = postprocess(raw, cap, env.dim)
+        step_vector = estimate.vector
         offset = env.gradient_offset()
         if offset is not None:
             # the known part of the cost gradient is not an estimate, so it
@@ -247,20 +243,38 @@ def run_online(cfg: OptimizerConfig, env, horizon: int, seed: int) -> list[Round
         x_next = gd_update(x, step_vector, cfg.schedule.rate(t), cset)
         _check_feasible(cset, x_next, t, "the projected step")
         records.append(
-            RoundRecord(
-                t=t, x=x.copy(), cost=cost, queries=queries, estimate=estimate, grad_error=grad_error
-            )
+            RoundRecord(t, x.copy(), cost, queries, clipped=estimate.clipped, grad_error=grad_error)
         )
         x = x_next
     return records
 
 
-def _estimate(cfg, env, x, rng) -> tuple[GradientEstimate, int]:
+def postprocess(raw: np.ndarray | None, norm_cap: float, dim: int) -> GradientEstimate:
+    """The gate of every estimated round: keep the raw estimate or zero it.
+
+    A missing estimate (a failed measurement or an infeasible basis pursuit),
+    a non-finite one, or one whose norm exceeds norm_cap becomes zeros with
+    clipped=True. The cap check is inclusive, so a vector sitting exactly on
+    the cap passes through.
+    """
+    if norm_cap < 0:
+        raise ConfigurationError(f"norm cap must be >= 0, got {norm_cap}")
+    if raw is not None:
+        vector = np.asarray(raw, dtype=float)
+        if not np.all(np.isfinite(vector)):
+            log.warning("non-finite gradient estimate; clipping to zero")
+        elif float(np.linalg.norm(vector)) <= norm_cap:
+            return GradientEstimate(vector)
+    return GradientEstimate(np.zeros(dim), clipped=True)
+
+
+def _estimate(cfg, env, x, rng) -> tuple[np.ndarray | None, int]:
+    """The round's raw estimate and query count; None when a measurement failed."""
     if cfg.name == "gd":
         exact = env.exact_gradient(x)
         if exact is None:
             raise ConfigurationError("gd needs an environment with exact gradients")
-        return GradientEstimate(np.asarray(exact, dtype=float), clipped=False), 0
+        return exact, 0
     oracle = env.oracle()  # fresh each round, so its count is the round's queries
     if cfg.name in CS_VARIANTS:
         step = congo_step
@@ -269,11 +283,11 @@ def _estimate(cfg, env, x, rng) -> tuple[GradientEstimate, int]:
     else:
         step = nsgd_step
     try:
-        estimate = step(cfg, oracle, x, rng)
+        raw = step(cfg, oracle, x, rng)
     except MeasurementError as exc:
         log.warning("round measurement failed (%s); clipping gradient to zero", exc)
-        estimate = GradientEstimate(np.zeros(x.shape[0]), clipped=True)
-    return estimate, oracle.queries
+        raw = None
+    return raw, oracle.queries
 
 
 def _check_feasible(cset, x, t, source) -> None:

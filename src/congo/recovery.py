@@ -7,16 +7,13 @@ scheme. Both operate on the rescaled system (A, y) / sqrt(m).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import ConfigurationError, GradientEstimate
-
-log = logging.getLogger(__name__)
+from .core import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -32,19 +29,6 @@ class RecoveryConfig:
             raise ConfigurationError(f"tolerance: must be finite and > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ConfigurationError(f"max_iterations: must be >= 1, got {self.max_iterations}")
-
-
-@dataclass(frozen=True)
-class RecoveryOutcome:
-    """Result of a recovery attempt: a vector, or a rejection with a reason."""
-
-    vector: np.ndarray | None
-    dim: int
-    reason: str | None = None
-
-    @property
-    def recovered(self) -> bool:
-        return self.vector is not None
 
 
 def rescale(matrix: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,13 +127,13 @@ def basis_pursuit(
     noise_level: float,
     norm_cap: float,
     cfg: RecoveryConfig,
-) -> RecoveryOutcome:
+) -> np.ndarray | None:
     """Approximate min ||z||_1 s.t. ||A z - y|| <= noise_level and ||z|| <= norm_cap.
 
     Runs a primal-dual splitting loop (both constraints enter through their
     projections), then restores exact residual feasibility with a minimum-norm
-    correction. Returns a rejection when no point of the norm ball comes
-    within noise_level (+ tolerance) of satisfying the measurements.
+    correction. Returns None when no point of the norm ball comes within
+    noise_level (+ tolerance) of satisfying the measurements.
     """
     if noise_level < 0 or norm_cap < 0:
         raise ConfigurationError("noise_level and norm_cap must be >= 0")
@@ -161,12 +145,12 @@ def basis_pursuit(
 
     gap, gap_point = _min_residual_on_cap(matrix, values, norm_cap)
     if gap > noise_level + cfg.tolerance:
-        return RecoveryOutcome(vector=None, dim=d, reason="infeasible")
+        return None
 
     op_norm = float(np.linalg.norm(matrix, 2))
     if op_norm == 0.0:
         # A z is identically zero; z = 0 is the l1 minimizer of the feasible set
-        return RecoveryOutcome(vector=np.zeros(d), dim=d)
+        return np.zeros(d)
 
     step = 1.0 / op_norm
     matrix_t = matrix.T
@@ -212,9 +196,8 @@ def basis_pursuit(
             continue
         candidates.append(candidate)
     if not candidates:
-        return RecoveryOutcome(vector=None, dim=d, reason="infeasible")
-    best = min(candidates, key=lambda c: float(np.sum(np.abs(c))))
-    return RecoveryOutcome(vector=best, dim=d)
+        return None
+    return min(candidates, key=lambda c: float(np.sum(np.abs(c))))
 
 
 def _polish(matrix, values, z) -> np.ndarray:
@@ -269,24 +252,3 @@ def _min_residual_on_cap(matrix, values, norm_cap) -> tuple[float, np.ndarray | 
 
 def _soft_threshold(vector: np.ndarray, amount: float) -> np.ndarray:
     return np.sign(vector) * np.maximum(np.abs(vector) - amount, 0.0)
-
-
-def postprocess(raw, norm_cap: float) -> GradientEstimate:
-    """Clip-or-keep safeguard: oversized or rejected estimates become zero.
-
-    Accepts either a plain vector or a RecoveryOutcome. The cap check is
-    inclusive, so a vector sitting exactly on the cap passes through.
-    """
-    if norm_cap < 0:
-        raise ConfigurationError(f"norm cap must be >= 0, got {norm_cap}")
-    if isinstance(raw, RecoveryOutcome):
-        if not raw.recovered:
-            return GradientEstimate(np.zeros(raw.dim), clipped=True)
-        raw = raw.vector
-    vector = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(vector)):
-        log.warning("non-finite recovery output; clipping to zero")
-        return GradientEstimate(np.zeros_like(vector), clipped=True)
-    if float(np.linalg.norm(vector)) > norm_cap:
-        return GradientEstimate(np.zeros_like(vector), clipped=True)
-    return GradientEstimate(vector, clipped=False)

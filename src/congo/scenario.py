@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import ConfigurationError, SmoothnessProfile
 from .env_jackson import (
+    ENTRY_QUEUE,
     FixedWorkload,
     JacksonEnvironment,
     SimConfig,
@@ -382,7 +383,7 @@ def _build_jackson(parser, horizon):
                 f" = [{sim_cfg.lower_bound}, {sim_cfg.upper_bound}]"
             )
     initial = np.full(num_queues, base)
-    initial[topology.entry] = entry_alloc
+    initial[ENTRY_QUEUE] = entry_alloc
     return partial(JacksonEnvironment, topology, schedule, sim_cfg, initial), num_queues, None
 
 

@@ -221,3 +221,11 @@ def test_gd_on_jackson_makes_run_and_sweep_exit_2(tmp_path, capsys):
     spec.write_text(JACKSON)
     assert main(["run", str(spec), "--out", str(tmp_path / "ok"), "--no-plot"]) == 0
     assert len((tmp_path / "ok" / "raw.csv").read_text().splitlines()) == 1 + 2
+
+
+def test_sweep_rejects_no_plot(capsys):
+    # a sweep writes no plot, so only run takes the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "sweep-measurement-rows", "--no-plot"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-plot" in capsys.readouterr().err

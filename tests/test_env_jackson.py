@@ -15,6 +15,7 @@ import pytest
 
 from congo.core import ConfigurationError
 from congo.env_jackson import (
+    ENTRY_QUEUE,
     SERVICE_RATE_FLOOR,
     FixedWorkload,
     JacksonEnvironment,
@@ -49,8 +50,6 @@ def test_topology_validation():
         Topology(num_queues=2, routes={"a": (1,)})  # must start at the entry
     with pytest.raises(ConfigurationError):
         Topology(num_queues=2, routes={"a": (0, 5)})
-    with pytest.raises(ConfigurationError):
-        Topology(num_queues=2, routes={"a": (0, 1)}, entry=7)
     with pytest.raises(ConfigurationError, match="route.a: visits queue 0 twice in a row"):
         Topology(num_queues=2, routes={"a": (0, 0, 1)})
     with pytest.raises(ConfigurationError, match="route.b: visits queue 1 twice in a row"):
@@ -326,7 +325,7 @@ def _per_event_reference(topology, rate, mix, allocation, sim_cfg, rng):
         if arrival_time <= completion_time:
             job = next_arrival
             next_arrival += 1
-            enqueue(topology.entry, job, arrival_time)
+            enqueue(ENTRY_QUEUE, job, arrival_time)
         else:
             now, _, queue = heapq.heappop(heap)
             job = in_service[queue]

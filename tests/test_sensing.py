@@ -259,10 +259,10 @@ def test_batched_estimators_match_the_per_probe_reference(preset):
         return run(oracle, x, matrix, delta, k, rng)
 
     def spsa(oracle, rng, batched):
-        return gdsp_step(gdsp, oracle, x, rng).vector if batched else _ref_gdsp(gdsp, oracle, x, rng)
+        return gdsp_step(gdsp, oracle, x, rng) if batched else _ref_gdsp(gdsp, oracle, x, rng)
 
     def coordinates(oracle, rng, batched):
-        return nsgd_step(nsgd, oracle, x, rng).vector if batched else _ref_nsgd(nsgd, oracle, x)
+        return nsgd_step(nsgd, oracle, x, rng) if batched else _ref_nsgd(nsgd, oracle, x)
 
     for estimator in (single_row, combined, spsa, coordinates):
         oracles = [env.oracle() for env in envs]
