@@ -19,6 +19,8 @@ from .sensing import ValueOracle
 
 _ROUND_STREAM = 0
 _NOISE_STREAM = 1
+# starting-point norm as a fraction of the radius
+START_FRACTION = 0.9
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,9 @@ class QuadraticFunction:
     constant: float
 
     def value(self, x: np.ndarray) -> float:
-        return float(self.values(np.asarray(x, dtype=float)[None])[0])
+        """f(x); the same dot products as a row of values, so the same bits."""
+        x = np.asarray(x, dtype=float)
+        return float(x @ (x * self.diag) + x @ self.linear + self.constant)
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """f at each row of a (q, d) block.
@@ -54,8 +58,6 @@ class QuadraticAdversaryConfig:
     noise_sigma: float = 0.0
     fixed_constant: float | None = None  # None: draw |N(0,1)| each round
     approx_scale: float = 0.0  # >0: off-support entries get this relative size
-    fixed_support: bool = False  # reuse one support for every round
-    start_fraction: float = 0.9  # starting-point norm as a fraction of the radius
 
     def __post_init__(self):
         if not 1 <= self.sparsity <= self.dimension:
@@ -71,10 +73,6 @@ class QuadraticAdversaryConfig:
                 )
         if self.fixed_constant is not None and not math.isfinite(self.fixed_constant):
             raise ConfigurationError(f"fixed_constant: must be finite, got {self.fixed_constant}")
-        if not 0.0 <= self.start_fraction <= 1.0:
-            raise ConfigurationError(
-                f"start_fraction: must lie in [0, 1], got {self.start_fraction}"
-            )
 
 
 def smoothness_bounds(radius: float, sparsity: int) -> SmoothnessProfile:
@@ -98,7 +96,6 @@ class QuadraticAdversary:
         self.functions: list[QuadraticFunction] = []
         self._round_rng: np.random.Generator | None = None
         self._noise_rng: np.random.Generator | None = None
-        self._support: np.ndarray | None = None
         self.current: QuadraticFunction | None = None
 
     @property
@@ -108,19 +105,18 @@ class QuadraticAdversary:
     def reset(self, seed: int) -> np.ndarray:
         """Rewind to round 0 and return the starting point for this seed.
 
-        The start is drawn uniformly from the sphere at start_fraction of
+        The start is drawn uniformly from the sphere at START_FRACTION of
         the radius, so every run opens far from the optimum; it comes from the
         round stream, so all optimizers sharing a seed start from the same
         point and see the same functions.
         """
         self._round_rng = np.random.default_rng([seed, _ROUND_STREAM])
         self._noise_rng = np.random.default_rng([seed, _NOISE_STREAM])
-        self._support = None
         self.functions = []
         self.current = None
         direction = self._round_rng.normal(size=self.cfg.dimension)
         direction /= np.linalg.norm(direction)
-        return direction * (self.cfg.start_fraction * self.cfg.radius)
+        return direction * (START_FRACTION * self.cfg.radius)
 
     def begin_round(self, t: int) -> None:
         assert self._round_rng is not None, "reset() must run before begin_round()"
@@ -130,12 +126,7 @@ class QuadraticAdversary:
     def _sample(self) -> QuadraticFunction:
         cfg = self.cfg
         rng = self._round_rng
-        if cfg.fixed_support:
-            if self._support is None:
-                self._support = rng.choice(cfg.dimension, size=cfg.sparsity, replace=False)
-            support = self._support
-        else:
-            support = rng.choice(cfg.dimension, size=cfg.sparsity, replace=False)
+        support = rng.choice(cfg.dimension, size=cfg.sparsity, replace=False)
         diag = np.zeros(cfg.dimension)
         linear = np.zeros(cfg.dimension)
         linear[support] = rng.normal(-1.0, 1.0, size=cfg.sparsity)

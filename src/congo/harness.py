@@ -74,7 +74,7 @@ class RunResult:
     costs: np.ndarray
     cum_costs: np.ndarray
     queries: np.ndarray
-    grad_errors: np.ndarray | None  # None when the environment has no exact gradient
+    grad_errors: np.ndarray  # NaN where the environment has no exact gradient
     clipped: np.ndarray
 
 
@@ -126,16 +126,15 @@ def run_experiment(
         cfg, seed = task
         records = run_online(cfg, spec.make_environment(), spec.horizon, seed)
         costs = np.array([r.cost for r in records])
-        errors = np.array(
-            [np.nan if r.grad_error is None else r.grad_error for r in records]
-        )
         return RunResult(
             optimizer=cfg.name,
             seed=seed,
             costs=costs,
             cum_costs=np.nancumsum(costs),
             queries=np.array([r.queries for r in records], dtype=int),
-            grad_errors=None if all(r.grad_error is None for r in records) else errors,
+            grad_errors=np.array(
+                [np.nan if r.grad_error is None else r.grad_error for r in records]
+            ),
             clipped=np.array([r.clipped for r in records], dtype=bool),
         )
 
@@ -186,7 +185,7 @@ def emit_csv(table: ResultTable, raw_path: str | Path, aggregate_path: str | Pat
     lines = [",".join(RAW_COLUMNS)]
     for run in table.runs:
         for t in range(table.horizon):
-            err = "" if run.grad_errors is None else _fmt(run.grad_errors[t])
+            err = "" if np.isnan(run.grad_errors[t]) else _fmt(run.grad_errors[t])
             lines.append(
                 f"{run.optimizer},{run.seed},{t + 1},{_fmt(run.costs[t])},"
                 f"{_fmt(run.cum_costs[t])},{int(run.queries[t])},{err},"
@@ -207,9 +206,8 @@ def emit_sweep_csv(plan: SweepPlan, results, path: str | Path) -> None:
     for value, table in results:
         for name in table.optimizers():
             runs = table.runs_of(name)
-            errs = np.concatenate(
-                [r.grad_errors[~np.isnan(r.grad_errors)] for r in runs if r.grad_errors is not None]
-            ) if any(r.grad_errors is not None for r in runs) else np.array([])
+            errs = np.concatenate([r.grad_errors for r in runs])
+            errs = errs[~np.isnan(errs)]
             mean_err = _fmt(errs.mean()) if errs.size else ""
             std_err = _fmt(errs.std()) if errs.size else ""
             final = _fmt(np.mean([r.cum_costs[-1] for r in runs]))

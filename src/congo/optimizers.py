@@ -105,8 +105,6 @@ class OptimizerConfig:
         default_factory=lambda: SmoothnessProfile(lipschitz=0.0, smoothness=0.0)
     )
     normalize_gradient: bool = False
-    recovery_tolerance: float = 0.005
-    recovery_max_iterations: int = 50
     distribution: str | None = None  # None: gaussian, or rademacher for congo-z
 
     def __post_init__(self):
@@ -122,11 +120,6 @@ class OptimizerConfig:
             raise ConfigurationError(
                 f"distribution {self.distribution!r} is not one of {', '.join(_DISTRIBUTIONS)}"
             )
-        try:
-            self.recovery_config()  # rejects a bad tolerance or iteration cap
-        except ConfigurationError as exc:
-            # RecoveryConfig names its fields without the recovery_ prefix of the keys
-            raise ConfigurationError(f"recovery_{exc}") from None
 
     def matrix_distribution(self) -> str:
         if self.distribution is not None:
@@ -134,11 +127,7 @@ class OptimizerConfig:
         return "rademacher" if self.name == "congo-z" else "gaussian"
 
     def recovery_config(self) -> RecoveryConfig:
-        return RecoveryConfig(
-            sparsity=self.sparsity,
-            tolerance=self.recovery_tolerance,
-            max_iterations=self.recovery_max_iterations,
-        )
+        return RecoveryConfig(sparsity=self.sparsity)
 
     def averaging_count(self) -> int:
         if self.k is not None:

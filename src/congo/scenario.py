@@ -43,7 +43,7 @@ from .sensing import prescribe_m
 PRESET_ENV_VAR = "CONGO_PRESET_DIR"
 
 # optimizer keys a [sweep] section may rewrite
-SWEEPABLE = ("m", "sparsity", "k", "delta")
+SWEEPABLE = ("m", "sparsity")
 
 _WORKLOADS = {
     "fixed": FixedWorkload,
@@ -66,34 +66,37 @@ _OPTIMIZER_KEYS = {
     "smoothness",
     "normalize_gradient",
     "distribution",
-    "recovery_tolerance",
-    "recovery_max_iterations",
 }
 
 
 def parse_seed_list(text: str) -> tuple[int, ...]:
     """Seeds as integers and inclusive ranges: '0-4', '0 1 2', '3,7,10-12'."""
-    seeds: list[int] = []
+    return _parse_int_list("seeds", text)
+
+
+def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
+    """Distinct non-negative integers and inclusive first-last ranges; errors name key."""
+    ints: list[int] = []
     for token in text.replace(",", " ").split():
         lo, sep, hi = token.partition("-")
         try:
-            if sep and lo:  # plain negatives are not seeds, so '-' means a range
+            if sep and lo:  # plain negatives are never valid, so '-' means a range
                 first, last = int(lo), int(hi)
                 if last < first:
                     raise ValueError
-                seeds.extend(range(first, last + 1))
+                ints.extend(range(first, last + 1))
             else:
-                seeds.append(int(token))
+                ints.append(int(token))
         except ValueError:
-            raise ConfigurationError(f"seeds: bad token {token!r} (want int or first-last)")
-    if not seeds:
-        raise ConfigurationError("seeds: the list is empty")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigurationError("seeds: the list has duplicates")
-    # numpy seeds a generator only from non-negative integers
-    if min(seeds) < 0:
-        raise ConfigurationError(f"seeds: {min(seeds)} is negative")
-    return tuple(seeds)
+            raise ConfigurationError(f"{key}: bad token {token!r} (want int or first-last)")
+    if not ints:
+        raise ConfigurationError(f"{key}: the list is empty")
+    if len(set(ints)) != len(ints):
+        raise ConfigurationError(f"{key}: the list has duplicates")
+    # numpy seeds a generator only from non-negative integers, and m and sparsity are counts
+    if min(ints) < 0:
+        raise ConfigurationError(f"{key}: {min(ints)} is negative")
+    return tuple(ints)
 
 
 def parse_learning_rate(text: str):
@@ -401,6 +404,10 @@ def _build_optimizer(parser, opt_name, kind, dim, radius, overrides) -> Optimize
     sec = _Section(f"optimizer.{opt_name}", merged)
 
     sparsity = sec.integer("sparsity", 1)
+    if not 1 <= sparsity <= dim:
+        raise ConfigurationError(
+            f"[{sec.name}] sparsity: need 1 <= sparsity <= dimension, got {sparsity}/{dim}"
+        )
     if sec.raw("m") == "auto":
         m = prescribe_m(sparsity, dim)
     else:
@@ -450,29 +457,13 @@ def _read_bounds(sec: _Section, kind: str, radius, sparsity: int) -> SmoothnessP
     )
 
 
-def _read_sweep(parser) -> tuple[str, tuple[float, ...]]:
+def _read_sweep(parser) -> tuple[str, tuple[int, ...]]:
     sec = _Section.of(parser, "sweep")
     sec.reject_unknown(_SWEEP_KEYS)
     parameter = sec.require("parameter")
     if parameter not in SWEEPABLE:
         raise ConfigurationError(f"[sweep] parameter: {parameter!r} is not one of {SWEEPABLE}")
-    values: list[float] = []
-    for token in sec.require("values").replace(",", " ").split():
-        lo, sep, hi = token.partition("-")
-        if sep and lo and parameter != "delta":
-            try:
-                first, last = int(lo), int(hi)
-            except ValueError:
-                raise ConfigurationError(f"[sweep] values: bad token {token!r}")
-            values.extend(range(first, last + 1))
-            continue
-        try:
-            values.append(int(token) if parameter != "delta" else float(token))
-        except ValueError:
-            raise ConfigurationError(f"[sweep] values: bad token {token!r}")
-    if not values:
-        raise ConfigurationError("[sweep] values: empty")
-    return parameter, tuple(values)
+    return parameter, _build("sweep", _parse_int_list, key="values", text=sec.require("values"))
 
 
 def load_sweep(path: str | Path) -> SweepPlan:

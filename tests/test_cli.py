@@ -61,6 +61,7 @@ MIX_DRIFT = (
     "start_round = 1\nend_round = 2\n"
 )
 OPT = "smoothness = 1.0"
+SWEEP = QUADRATIC + "\n[sweep]\nparameter = m\nvalues = 4 6\n"
 
 # spec errors that would otherwise surface only inside a run, or never: (spec,
 # text of it to replace, its replacement, pattern the error message must match)
@@ -72,18 +73,46 @@ BAD_SPECS = {
     "mix-unknown-job": (
         JACKSON, "mix = a:1.0", "mix = b:1.0", r"\[workload\] mix references unknown job type 'b'"
     ),
-    "zero-tolerance": (
-        JACKSON, OPT, OPT + "\nrecovery_tolerance = 0",
-        r"\[optimizer\.congo-e\] recovery_tolerance: must be finite and > 0, got 0\.0",
+    "fixed-support": (
+        QUADRATIC, "radius = 5.0", "radius = 5.0\nfixed_support = true",
+        r"\[quadratic\] fixed_support: unknown key",
     ),
-    "nan-tolerance": (
-        JACKSON, OPT, OPT + "\nrecovery_tolerance = nan",
-        r"\[optimizer\.congo-e\] recovery_tolerance: must be finite and > 0, got nan",
+    "start-fraction": (
+        QUADRATIC, "radius = 5.0", "radius = 5.0\nstart_fraction = 0.5",
+        r"\[quadratic\] start_fraction: unknown key",
     ),
-    "zero-iterations": (
-        JACKSON, OPT, OPT + "\nrecovery_max_iterations = 0",
-        r"\[optimizer\.congo-e\] recovery_max_iterations: must be >= 1, got 0",
+    "recovery-tolerance": (
+        JACKSON, OPT, OPT + "\nrecovery_tolerance = 0.01",
+        r"\[optimizer\.defaults\] recovery_tolerance: unknown key",
     ),
+    "recovery-max-iterations": (
+        JACKSON, OPT, OPT + "\nrecovery_max_iterations = 20",
+        r"\[optimizer\.defaults\] recovery_max_iterations: unknown key",
+    ),
+    # sparsity above the dimension fails named, before m = auto is prescribed
+    "sparsity-over-dimension-auto-m": (
+        QUADRATIC, "m = auto", "m = auto\nsparsity = 11",
+        r"\[optimizer\.congo-e\] sparsity: need 1 <= sparsity <= dimension, got 11/10",
+    ),
+    "sparsity-over-dimension-given-m": (
+        QUADRATIC, "m = auto", "m = 8\nsparsity = 11",
+        r"\[optimizer\.congo-e\] sparsity: need 1 <= sparsity <= dimension, got 11/10",
+    ),
+    "sweep-delta": (
+        SWEEP, "parameter = m", "parameter = delta",
+        r"\[sweep\] parameter: 'delta' is not one of \('m', 'sparsity'\)",
+    ),
+    # sweep values parse like seeds
+    "sweep-reversed-range": (
+        SWEEP, "values = 4 6", "values = 3, 7-5", r"\[sweep\] values: bad token '7-5'"
+    ),
+    "sweep-duplicate": (
+        SWEEP, "values = 4 6", "values = 4 4", r"\[sweep\] values: the list has duplicates"
+    ),
+    "sweep-negative": (
+        SWEEP, "values = 4 6", "values = -4 6", r"\[sweep\] values: -4 is negative"
+    ),
+    "sweep-empty": (SWEEP, "values = 4 6", "values =", r"\[sweep\] values: the list is empty"),
     "zero-m": (JACKSON, "m = 2", "m = 0", r"\[optimizer\.congo-e\] m: must be >= 1, got 0"),
     "zero-k": (JACKSON, OPT, OPT + "\nk = 0", r"\[optimizer\.congo-e\] k: must be >= 1, got 0"),
     "bogus-distribution": (

@@ -325,13 +325,6 @@ def test_sweep_expansion(tmp_path):
         load_spec(write(tmp_path, bad_param, name="bad.cfg"))
 
 
-def test_sweep_delta_values_stay_floating(tmp_path):
-    swept = QUAD_SPEC + "\n[sweep]\nparameter = delta\nvalues = 0.01 0.1\n"
-    plan = load_sweep(write(tmp_path, swept))
-    assert plan.values == (0.01, 0.1)
-    assert {c.name: c for c in plan.specs[0].optimizers}["congo-e"].delta == 0.01
-
-
 def test_find_preset_resolution_order(tmp_path, monkeypatch):
     monkeypatch.delenv(PRESET_ENV_VAR, raising=False)
     direct = write(tmp_path, QUAD_SPEC, name="direct.cfg")
