@@ -59,7 +59,6 @@ from .optimizers import (
     run_online,
 )
 from .recovery import (
-    RecoveryConfig,
     basis_pursuit,
     cosamp,
     rescale,

@@ -53,15 +53,18 @@ def main(argv=None) -> int:
         return 1
 
 
-def _apply_overrides(spec, args):
-    if args.seeds:
-        spec.seeds = parse_seed_list(args.seeds)
-    return Path(args.out) if args.out else Path("results") / spec.name
+def _apply_overrides(specs, args, name: str) -> Path:
+    """Give every spec the --seeds list; the output directory, results/<name> unless --out."""
+    if args.seeds is not None:  # an empty --seeds is an error, not a fallback
+        seeds = parse_seed_list(args.seeds)
+        for spec in specs:
+            spec.seeds = seeds
+    return Path(args.out) if args.out else Path("results") / name
 
 
 def _cmd_run(args) -> int:
     spec = load_spec(find_preset(args.spec))
-    out = _apply_overrides(spec, args)
+    out = _apply_overrides([spec], args, spec.name)
     table = run_experiment(spec, output_dir=out, jobs=args.jobs, plot=not args.no_plot)
     artifacts = ["raw.csv", "aggregate.csv"] + ([] if args.no_plot else ["plot.svg"])
     print(f"{spec.name}: {len(table.runs)} runs; wrote {', '.join(artifacts)} in {out}")
@@ -70,11 +73,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     plan = load_sweep(find_preset(args.spec))
-    if args.seeds:
-        seeds = parse_seed_list(args.seeds)
-        for spec in plan.specs:
-            spec.seeds = seeds
-    out = Path(args.out) if args.out else Path("results") / f"{plan.name}-sweep"
+    out = _apply_overrides(plan.specs, args, f"{plan.name}-sweep")
     run_sweep(plan, output_dir=out, jobs=args.jobs)
     print(f"{plan.name}: swept {plan.parameter} over {len(plan.values)} values; "
           f"wrote sweep.csv in {out}")

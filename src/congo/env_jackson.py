@@ -153,6 +153,8 @@ class VariableMixWorkload:
 
 @dataclass(frozen=True)
 class SimConfig:
+    initial_allocation: float  # every queue's start allocation
+    initial_entry_allocation: float | None = None  # ENTRY_QUEUE's, if not initial_allocation
     warmup_seconds: float = 30.0
     measure_seconds: float = 10.0
     resource_weight: float = 1.0
@@ -182,6 +184,13 @@ class SimConfig:
             raise ConfigurationError(
                 f"lower_bound: {self.lower_bound} exceeds upper_bound {self.upper_bound}"
             )
+        for key in ("initial_allocation", "initial_entry_allocation"):
+            value = getattr(self, key)
+            if value is not None and not self.lower_bound <= value <= self.upper_bound:
+                raise ConfigurationError(
+                    f"{key}: {value} is outside [lower_bound, upper_bound]"
+                    f" = [{self.lower_bound}, {self.upper_bound}]"
+                )
 
 
 @dataclass(frozen=True)
@@ -320,13 +329,7 @@ def _poisson_arrivals(rate: float, horizon: float, rng: np.random.Generator) -> 
 class JacksonEnvironment:
     """Adapter exposing the queueing network through the online-round protocol."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        schedule,
-        sim_cfg: SimConfig,
-        initial_allocation: np.ndarray,
-    ):
+    def __init__(self, topology: Topology, schedule, sim_cfg: SimConfig):
         self.topology = topology
         self.schedule = schedule
         self.sim_cfg = sim_cfg
@@ -334,14 +337,9 @@ class JacksonEnvironment:
             lower=np.full(topology.num_queues, sim_cfg.lower_bound),
             upper=np.full(topology.num_queues, sim_cfg.upper_bound),
         )
-        initial = np.array(initial_allocation, dtype=float)
-        if initial.shape != (topology.num_queues,):
-            raise ConfigurationError("initial allocation length does not match queue count")
-        if not self.constraint_set.contains(initial):
-            raise ConfigurationError(
-                "initial allocation lies outside [lower_bound, upper_bound]"
-                f" = [{sim_cfg.lower_bound}, {sim_cfg.upper_bound}]"
-            )
+        initial = np.full(topology.num_queues, sim_cfg.initial_allocation)
+        if sim_cfg.initial_entry_allocation is not None:
+            initial[ENTRY_QUEUE] = sim_cfg.initial_entry_allocation
         self._initial = initial
         self._rng: np.random.Generator | None = None
         self._rate = 0.0

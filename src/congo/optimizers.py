@@ -31,7 +31,7 @@ from .core import (
     SmoothnessProfile,
     gd_update,
 )
-from .recovery import RecoveryConfig, basis_pursuit, cosamp, rescale
+from .recovery import basis_pursuit, cosamp, rescale
 from .sensing import (
     _DISTRIBUTIONS,
     ValueOracle,
@@ -126,9 +126,6 @@ class OptimizerConfig:
             return self.distribution
         return "rademacher" if self.name == "congo-z" else "gaussian"
 
-    def recovery_config(self) -> RecoveryConfig:
-        return RecoveryConfig(sparsity=self.sparsity)
-
     def averaging_count(self) -> int:
         if self.k is not None:
             return self.k
@@ -164,11 +161,9 @@ def congo_step(
     if cfg.name == "congo-b":
         measured = measure_combined(oracle, x, matrix, cfg.delta, cfg.averaging_count(), rng)
         noise_level = 3.0 * cfg.smoothness.smoothness * cfg.delta
-        return basis_pursuit(
-            *rescale(matrix, measured), noise_level, cfg.clip_cap(), cfg.recovery_config()
-        )
+        return basis_pursuit(*rescale(matrix, measured), noise_level, cfg.clip_cap())
     measured = measure_single_row(oracle, x, matrix, cfg.delta)
-    return cosamp(*rescale(matrix, measured), cfg.recovery_config())
+    return cosamp(*rescale(matrix, measured), cfg.sparsity)
 
 
 def gdsp_step(

@@ -8,7 +8,6 @@ scheme. Both operate on the rescaled system (A, y) / sqrt(m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -16,19 +15,10 @@ from scipy.optimize import brentq
 from .core import ConfigurationError
 
 
-@dataclass(frozen=True)
-class RecoveryConfig:
-    sparsity: int
-    tolerance: float = 0.005
-    max_iterations: int = 50
-
-    def __post_init__(self):
-        if self.sparsity < 1:
-            raise ConfigurationError(f"sparsity: must be >= 1, got {self.sparsity}")
-        if not 0 < self.tolerance < math.inf:
-            raise ConfigurationError(f"tolerance: must be finite and > 0, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ConfigurationError(f"max_iterations: must be >= 1, got {self.max_iterations}")
+# cosamp's target residual norm, and basis_pursuit's feasibility slack
+TOLERANCE = 0.005
+# the iteration budget of one greedy pursuit and of the primal-dual loop
+MAX_ITERATIONS = 50
 
 
 def rescale(matrix: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -42,34 +32,35 @@ def rescale(matrix: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     return matrix * factor, values * factor
 
 
-def cosamp(matrix: np.ndarray, values: np.ndarray, cfg: RecoveryConfig) -> np.ndarray:
+def cosamp(matrix: np.ndarray, values: np.ndarray, sparsity: int) -> np.ndarray:
     """Greedy sparse approximation of the solution to matrix @ x = values.
 
     Per iteration: form the proxy A^T r, merge the 2s strongest proxy entries
     into the running support, least-squares on the merged support, prune back
-    to the s largest coefficients, update the residual. Halts when the
-    residual norm falls to cfg.tolerance, after cfg.max_iterations, or after 3
+    to the s = sparsity largest coefficients, update the residual. Halts when
+    the residual norm falls to TOLERANCE, after MAX_ITERATIONS, or after 3
     consecutive iterations without residual improvement.
 
-    When the loop halts with the residual still above tolerance, the pursuit
+    When the loop halts with the residual still above TOLERANCE, the pursuit
     restarts (at most twice) with the already-found support suppressed in the
     first selection. Flat-magnitude signals near the sample floor trap the
     greedy loop in stable wrong supports; the restarts escape most of them.
     The result with the smallest residual wins, so a run that already sits at
     its noise floor is never made worse.
     """
+    if sparsity < 1:
+        raise ConfigurationError(f"sparsity: must be >= 1, got {sparsity}")
     matrix = np.asarray(matrix, dtype=float)
     values = np.asarray(values, dtype=float)
     m, d = matrix.shape
-    s = cfg.sparsity
-    x, resid_norm = _pursuit(matrix, values, cfg, frozenset())
+    x, resid_norm = _pursuit(matrix, values, sparsity, frozenset())
     taboo: set[int] = set()
     restarts = 0
-    while resid_norm > cfg.tolerance and restarts < 2:
+    while resid_norm > TOLERANCE and restarts < 2:
         taboo.update(np.flatnonzero(x).tolist())
-        if len(taboo) >= d - s:
+        if len(taboo) >= d - sparsity:
             break
-        retry, retry_norm = _pursuit(matrix, values, cfg, frozenset(taboo))
+        retry, retry_norm = _pursuit(matrix, values, sparsity, frozenset(taboo))
         if retry_norm < resid_norm:
             x, resid_norm = retry, retry_norm
         restarts += 1
@@ -77,17 +68,16 @@ def cosamp(matrix: np.ndarray, values: np.ndarray, cfg: RecoveryConfig) -> np.nd
 
 
 def _pursuit(
-    matrix: np.ndarray, values: np.ndarray, cfg: RecoveryConfig, taboo: frozenset[int]
+    matrix: np.ndarray, values: np.ndarray, s: int, taboo: frozenset[int]
 ) -> tuple[np.ndarray, float]:
     m, d = matrix.shape
-    s = cfg.sparsity
     x = np.zeros(d)
     residual = values.copy()
     resid_norm = math.sqrt(residual.dot(residual))
     stalled = 0
     first = True
-    for _ in range(cfg.max_iterations):
-        if resid_norm <= cfg.tolerance:
+    for _ in range(MAX_ITERATIONS):
+        if resid_norm <= TOLERANCE:
             break
         proxy = matrix.T @ residual
         if first and taboo:
@@ -126,14 +116,13 @@ def basis_pursuit(
     values: np.ndarray,
     noise_level: float,
     norm_cap: float,
-    cfg: RecoveryConfig,
 ) -> np.ndarray | None:
     """Approximate min ||z||_1 s.t. ||A z - y|| <= noise_level and ||z|| <= norm_cap.
 
     Runs a primal-dual splitting loop (both constraints enter through their
     projections), then restores exact residual feasibility with a minimum-norm
     correction. Returns None when no point of the norm ball comes within
-    noise_level (+ tolerance) of satisfying the measurements.
+    noise_level (+ TOLERANCE) of satisfying the measurements.
     """
     if noise_level < 0 or norm_cap < 0:
         raise ConfigurationError("noise_level and norm_cap must be >= 0")
@@ -144,7 +133,7 @@ def basis_pursuit(
         raise ConfigurationError("measurement length does not match matrix rows")
 
     gap, gap_point = _min_residual_on_cap(matrix, values, norm_cap)
-    if gap > noise_level + cfg.tolerance:
+    if gap > noise_level + TOLERANCE:
         return None
 
     op_norm = float(np.linalg.norm(matrix, 2))
@@ -161,7 +150,7 @@ def basis_pursuit(
     # from the first step, so a stall test would fire before convergence.
     # Each iteration projects onto two balls; sqrt(v.dot(v)) is what
     # np.linalg.norm computes for a contiguous vector, to the bit.
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         ahead = dual + step * (matrix @ z_bar)
         point = ahead / step
         offset = point - values
@@ -179,7 +168,6 @@ def basis_pursuit(
 
     # The loop budget is small, so finish by pushing a few cheap candidates onto
     # the feasible set and keep whichever one has the smallest l1 norm.
-    slack = cfg.tolerance
     candidates = []
     debiased = _debias(matrix, values, z)
     for candidate in (
@@ -190,9 +178,9 @@ def basis_pursuit(
     ):
         if candidate is None:
             continue
-        if float(np.linalg.norm(values - matrix @ candidate)) > noise_level + slack:
+        if float(np.linalg.norm(values - matrix @ candidate)) > noise_level + TOLERANCE:
             continue
-        if float(np.linalg.norm(candidate)) > norm_cap + slack:
+        if float(np.linalg.norm(candidate)) > norm_cap + TOLERANCE:
             continue
         candidates.append(candidate)
     if not candidates:

@@ -16,11 +16,8 @@ from functools import partial
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .core import ConfigurationError, SmoothnessProfile
 from .env_jackson import (
-    ENTRY_QUEUE,
     FixedWorkload,
     JacksonEnvironment,
     SimConfig,
@@ -125,6 +122,8 @@ def _parse_mix(section: str, text: str) -> dict[str, float]:
         name, sep, prob = token.partition(":")
         if not sep or not name:
             raise ConfigurationError(f"[{section}] mix token {token!r} is not name:probability")
+        if name in mix:
+            raise ConfigurationError(f"[{section}] mix token {token!r} names {name!r} again")
         try:
             mix[name] = float(prob)
         except ValueError:
@@ -194,10 +193,11 @@ class _Section:
         return self._data[key].strip()
 
     def text(self, key: str, default: str) -> str:
-        return self._data.get(key, default).strip()
+        """The key's value; an unset or empty key gives default."""
+        return self.raw(key) or default
 
-    def floating(self, key: str, default: float | None = None) -> float:
-        return self._typed(key, float, default)
+    def floating(self, key: str) -> float:
+        return self._typed(key, float, None)
 
     def integer(self, key: str, default: int | None = None) -> int:
         return self._typed(key, int, default)
@@ -375,19 +375,8 @@ def _build_jackson(parser, horizon):
     for key in ("initial_mix", "final_mix") if wkind == "variable-mix" else ("mix",):
         _check_mix(getattr(schedule, key), topology.job_names, f"[workload] {key}")
 
-    sim = _Section.of(parser, "simulation")
-    sim_cfg = sim.into(SimConfig, also=("initial_allocation", "initial_entry_allocation"))
-    base = sim.floating("initial_allocation")
-    entry_alloc = sim.floating("initial_entry_allocation", base)
-    for key, value in (("initial_allocation", base), ("initial_entry_allocation", entry_alloc)):
-        if not sim_cfg.lower_bound <= value <= sim_cfg.upper_bound:
-            raise ConfigurationError(
-                f"[simulation] {key}: {value} is outside [lower_bound, upper_bound]"
-                f" = [{sim_cfg.lower_bound}, {sim_cfg.upper_bound}]"
-            )
-    initial = np.full(num_queues, base)
-    initial[ENTRY_QUEUE] = entry_alloc
-    return partial(JacksonEnvironment, topology, schedule, sim_cfg, initial), num_queues, None
+    sim_cfg = _Section.of(parser, "simulation").into(SimConfig)
+    return partial(JacksonEnvironment, topology, schedule, sim_cfg), num_queues, None
 
 
 def _build_optimizer(parser, opt_name, kind, dim, radius, overrides) -> OptimizerConfig:

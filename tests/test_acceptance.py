@@ -21,7 +21,7 @@ from congo.env_quadratic import (
 )
 from congo.harness import ExperimentSpec, run_experiment
 from congo.optimizers import ConstantRate, OptimizerConfig, run_online
-from congo.recovery import RecoveryConfig, cosamp, rescale
+from congo.recovery import cosamp, rescale
 from congo.scenario import find_preset, load_spec
 from congo.sensing import ValueOracle, draw_matrix, measure_single_row, pointwise, prescribe_m
 
@@ -84,7 +84,7 @@ def test_criterion_01_cosamp_noiseless_recovery(criterion_report):
         matrix = rng.normal(size=(24, 50))
         g = unit_sparse(rng, 50, 5)
         scaled_matrix, scaled_values = rescale(matrix, matrix @ g)
-        x = cosamp(scaled_matrix, scaled_values, RecoveryConfig(sparsity=5))
+        x = cosamp(scaled_matrix, scaled_values, sparsity=5)
         ok += np.linalg.norm(x - g) <= 1e-4 * np.linalg.norm(g)
     elapsed = time.perf_counter() - t0
     passed = ok >= 95 and elapsed < 5.0
@@ -219,7 +219,7 @@ def test_criterion_06_sublinear_regret(criterion_report):
 def test_criterion_07_queueing_calibration(criterion_report):
     """Simulated sojourn times match M/M/1 and tandem closed forms within 15%."""
     t0 = time.perf_counter()
-    cfg = SimConfig()
+    cfg = SimConfig(initial_allocation=1.0)  # the windows use only its default spans
     single = Topology(num_queues=1, routes={"job1": (0,)})
     tandem = Topology(num_queues=2, routes={"job1": (0, 1)})
     mix = {"job1": 1.0}

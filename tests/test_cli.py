@@ -54,6 +54,7 @@ delta = 0.5
 m = auto
 """
 
+TWO_JOBS = JACKSON.replace("route.a = 0 1", "route.a = 0 1\nroute.b = 0")
 WORKLOAD = "[workload]\nrate = 2.0\nmix = a:1.0\n"
 RATE_SEGMENTS = "[workload]\nkind = variable-rate\nsegments = 1-1:2.0 2-2:0\nmix = a:1.0\n"
 MIX_DRIFT = (
@@ -69,6 +70,10 @@ BAD_SPECS = {
     "zero-rate": (JACKSON, "rate = 2.0", "rate = 0", r"\[workload\] rate must be finite and > 0"),
     "mix-short": (
         JACKSON, "mix = a:1.0", "mix = a:0.5", r"\[workload\] mix probabilities sum to 0.5"
+    ),
+    "mix-repeated-job": (
+        TWO_JOBS, "mix = a:1.0", "mix = a:0.5 b:0.5 a:0.5",
+        r"\[workload\] mix token 'a:0.5' names 'a' again",
     ),
     "mix-unknown-job": (
         JACKSON, "mix = a:1.0", "mix = b:1.0", r"\[workload\] mix references unknown job type 'b'"
@@ -250,6 +255,16 @@ def test_gd_on_jackson_makes_run_and_sweep_exit_2(tmp_path, capsys):
     spec.write_text(JACKSON)
     assert main(["run", str(spec), "--out", str(tmp_path / "ok"), "--no-plot"]) == 0
     assert len((tmp_path / "ok" / "raw.csv").read_text().splitlines()) == 1 + 2
+
+
+def test_empty_seeds_exit_2_and_write_nothing(tmp_path, capsys):
+    spec, sweep = tmp_path / "spec.cfg", tmp_path / "sweep.cfg"
+    spec.write_text(JACKSON)
+    sweep.write_text(SWEEP)
+    assert main(["run", str(spec), "--seeds", "", "--out", str(tmp_path / "run")]) == 2
+    assert main(["sweep", str(sweep), "--seeds", " ", "--out", str(tmp_path / "sweep")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seeds: the list is empty"] * 2
+    assert not (tmp_path / "run").exists() and not (tmp_path / "sweep").exists()
 
 
 def test_sweep_rejects_no_plot(capsys):

@@ -34,7 +34,7 @@ ONE_JOB = {"job1": 1.0}
 
 
 def quick_cfg(**kw):
-    base = dict(warmup_seconds=2.0, measure_seconds=4.0)
+    base = dict(initial_allocation=4.0, warmup_seconds=2.0, measure_seconds=4.0)
     base.update(kw)
     return SimConfig(**base)
 
@@ -103,24 +103,24 @@ def test_variable_rate_segments_must_cover_the_rounds(segments):
 
 def test_sim_config_validation():
     with pytest.raises(ConfigurationError):
-        SimConfig(measure_seconds=0.0)
+        quick_cfg(measure_seconds=0.0)
     with pytest.raises(ConfigurationError):
-        SimConfig(warmup_seconds=-1.0)
+        quick_cfg(warmup_seconds=-1.0)
     with pytest.raises(ConfigurationError):
-        SimConfig(lower_bound=5.0, upper_bound=1.0)
+        quick_cfg(lower_bound=5.0, upper_bound=1.0)
     with pytest.raises(ConfigurationError, match="warmup_seconds"):
-        SimConfig(warmup_seconds=math.inf)  # the first window would fail to size its arrivals
+        quick_cfg(warmup_seconds=math.inf)  # the first window would fail to size its arrivals
     with pytest.raises(ConfigurationError, match="measure_seconds"):
-        SimConfig(measure_seconds=math.nan)
+        quick_cfg(measure_seconds=math.nan)
     with pytest.raises(ConfigurationError, match="resource_weight"):
-        SimConfig(resource_weight=math.nan)  # every cost would read nan
+        quick_cfg(resource_weight=math.nan)  # every cost would read nan
     with pytest.raises(ConfigurationError, match="resource_weight"):
-        SimConfig(resource_weight=-0.5)
+        quick_cfg(resource_weight=-0.5)
     with pytest.raises(ConfigurationError, match="correction_factor"):
-        SimConfig(correction_factor=0.0)  # a zero bump never leaves an unstable allocation
+        quick_cfg(correction_factor=0.0)  # a zero bump never leaves an unstable allocation
     with pytest.raises(ConfigurationError, match="correction_factor"):
-        SimConfig(correction_factor=math.inf)
-    SimConfig(resource_weight=0.0)
+        quick_cfg(correction_factor=math.inf)
+    quick_cfg(resource_weight=0.0)
 
 
 def test_simulate_window_argument_errors():
@@ -204,7 +204,7 @@ def test_reentrant_route_completes():
 def test_incur_adds_the_resource_term_and_is_nan_when_unstable():
     cfg = quick_cfg(resource_weight=0.5)
     x = np.array([2.0, 3.0])
-    env = JacksonEnvironment(TANDEM, FixedWorkload(rate=2.0, mix=ONE_JOB), cfg, x)
+    env = JacksonEnvironment(TANDEM, FixedWorkload(rate=2.0, mix=ONE_JOB), cfg)
     env.reset(5)
     env.begin_round(1)
     # the simulator stream of seed s is default_rng([s, 1]), as README "Determinism" says
@@ -213,7 +213,7 @@ def test_incur_adds_the_resource_term_and_is_nan_when_unstable():
     assert env.incur(x) == window.mean_latency + 0.5 * 5.0
 
     # so small an arrival rate leaves the window without departures
-    idle = JacksonEnvironment(TANDEM, FixedWorkload(rate=1e-9, mix=ONE_JOB), cfg, x)
+    idle = JacksonEnvironment(TANDEM, FixedWorkload(rate=1e-9, mix=ONE_JOB), cfg)
     idle.reset(0)
     idle.begin_round(1)
     assert np.isnan(idle.incur(x))
@@ -221,12 +221,12 @@ def test_incur_adds_the_resource_term_and_is_nan_when_unstable():
 
 def test_instability_correction_bumps_then_projects():
     cfg = quick_cfg(lower_bound=0.0, upper_bound=5.0, correction_factor=1.0)
-    env = JacksonEnvironment(TANDEM, FixedWorkload(rate=2.0, mix=ONE_JOB), cfg, np.ones(2))
+    env = JacksonEnvironment(TANDEM, FixedWorkload(rate=2.0, mix=ONE_JOB), cfg)
     assert np.allclose(env.instability_correction(np.array([4.5, 1.0])), [5.0, 2.0])
 
 
 def test_oracle_windows_are_independent():
-    env = JacksonEnvironment(SINGLE, FixedWorkload(rate=2.0, mix=ONE_JOB), quick_cfg(), [4.0])
+    env = JacksonEnvironment(SINGLE, FixedWorkload(rate=2.0, mix=ONE_JOB), quick_cfg())
     env.reset(1)
     env.begin_round(1)
     oracle = env.oracle()
@@ -241,7 +241,7 @@ def test_oracle_windows_are_independent():
 
 def test_environment_round_protocol():
     schedule = FixedWorkload(rate=2.0, mix=ONE_JOB)
-    env = JacksonEnvironment(TANDEM, schedule, quick_cfg(), np.array([4.0, 4.0]))
+    env = JacksonEnvironment(TANDEM, schedule, quick_cfg())
     assert env.dim == 2
     start = env.reset(0)
     assert np.array_equal(start, [4.0, 4.0])
@@ -259,20 +259,19 @@ def test_environment_round_protocol():
     assert np.allclose(corrected, [60.0, 5.0])
 
 
-def test_environment_rejects_an_initial_allocation_outside_the_box():
-    schedule = FixedWorkload(rate=1.0, mix=ONE_JOB)
-    bounds = r"outside \[lower_bound, upper_bound\] = \[1.0, 60.0\]"
-    with pytest.raises(ConfigurationError, match=bounds):
-        JacksonEnvironment(TANDEM, schedule, quick_cfg(), np.array([0.0, 99.0]))
-    with pytest.raises(ConfigurationError, match="length"):
-        JacksonEnvironment(TANDEM, schedule, quick_cfg(), np.array([1.0]))
+def test_sim_config_rejects_an_initial_allocation_outside_the_box():
+    bounds = r"is outside \[lower_bound, upper_bound\] = \[1.0, 60.0\]"
+    with pytest.raises(ConfigurationError, match="initial_allocation: 0.0 " + bounds):
+        quick_cfg(initial_allocation=0.0)
+    with pytest.raises(ConfigurationError, match="initial_entry_allocation: 99.0 " + bounds):
+        quick_cfg(initial_entry_allocation=99.0)
 
 
 def test_environment_runs_are_reproducible():
     schedule = FixedWorkload(rate=2.0, mix=ONE_JOB)
     costs = []
     for _ in range(2):
-        env = JacksonEnvironment(SINGLE, schedule, quick_cfg(), np.array([3.0]))
+        env = JacksonEnvironment(SINGLE, schedule, quick_cfg())
         env.reset(7)
         env.begin_round(1)
         costs.append(env.incur(np.array([3.0])))

@@ -11,7 +11,8 @@ import pytest
 from congo import optimizers
 from congo.core import ConfigurationError
 from congo.recovery import (
-    RecoveryConfig,
+    MAX_ITERATIONS,
+    TOLERANCE,
     _largest,
     _min_residual_on_cap,
     _polish,
@@ -49,13 +50,10 @@ def test_rescale_divides_by_sqrt_m():
         rescale(matrix, np.ones(3))
 
 
-def test_recovery_config_validation():
-    with pytest.raises(ConfigurationError):
-        RecoveryConfig(sparsity=0)
-    with pytest.raises(ConfigurationError):
-        RecoveryConfig(sparsity=2, tolerance=0.0)
-    with pytest.raises(ConfigurationError):
-        RecoveryConfig(sparsity=2, max_iterations=0)
+def test_cosamp_rejects_sparsity_below_one():
+    matrix, values, _, _ = make_system(0)
+    with pytest.raises(ConfigurationError, match="sparsity: must be >= 1, got 0"):
+        cosamp(matrix, values, sparsity=0)
 
 
 def test_cosamp_noiseless_exact_recovery_rate():
@@ -63,7 +61,7 @@ def test_cosamp_noiseless_exact_recovery_rate():
     ok = 0
     for seed in range(100):
         matrix, values, g, _ = make_system(seed)
-        x = cosamp(matrix, values, RecoveryConfig(sparsity=3))
+        x = cosamp(matrix, values, sparsity=3)
         ok += np.linalg.norm(x - g) <= 1e-6
     assert ok >= 95
 
@@ -78,7 +76,7 @@ def test_cosamp_noisy_recovery_tracks_noise_level():
             matrix, values, g, rng = make_system(seed)
             e = rng.normal(size=12)
             e *= noise / np.linalg.norm(e)
-            x = cosamp(matrix, values + e, RecoveryConfig(sparsity=3))
+            x = cosamp(matrix, values + e, sparsity=3)
             errs.append(np.linalg.norm(x - g))
         medians[noise] = float(np.median(errs))
         if noise == 0.01:
@@ -91,9 +89,11 @@ def test_cosamp_noisy_recovery_tracks_noise_level():
 def test_cosamp_restart_escapes_taboo_support():
     # a system whose first pursuit stalls still ends at the best residual found
     matrix, values, g, _ = make_system(7)
-    x = cosamp(matrix, values, RecoveryConfig(sparsity=3, max_iterations=2))
+    _, first_norm = _pursuit(matrix, values, 3, frozenset())
+    assert first_norm > TOLERANCE  # so cosamp restarts
+    x = cosamp(matrix, values, sparsity=3)
     resid = np.linalg.norm(values - matrix @ x)
-    assert np.isfinite(resid)
+    assert resid <= first_norm
     assert np.count_nonzero(x) <= 3
 
 
@@ -101,8 +101,7 @@ def test_basis_pursuit_recovery_rate():
     ok = 0
     for seed in range(100):
         matrix, values, g, _ = make_system(seed, m=14)
-        out = basis_pursuit(matrix, values, noise_level=1e-8, norm_cap=100.0,
-                            cfg=RecoveryConfig(sparsity=3))
+        out = basis_pursuit(matrix, values, noise_level=1e-8, norm_cap=100.0)
         if out is not None and np.linalg.norm(out - g) <= 1e-3:
             ok += 1
     assert ok >= 90
@@ -110,7 +109,7 @@ def test_basis_pursuit_recovery_rate():
 
 def test_basis_pursuit_zero_measurements_recover_zero():
     matrix = np.random.default_rng(0).normal(size=(5, 8))
-    out = basis_pursuit(matrix, np.zeros(5), 0.01, 1.0, RecoveryConfig(sparsity=2))
+    out = basis_pursuit(matrix, np.zeros(5), 0.01, 1.0)
     assert out is not None
     assert np.linalg.norm(out) == pytest.approx(0.0, abs=1e-9)
 
@@ -118,17 +117,15 @@ def test_basis_pursuit_zero_measurements_recover_zero():
 def test_basis_pursuit_rejects_infeasible_systems():
     matrix = np.eye(3)
     values = np.full(3, 10.0)
-    out = basis_pursuit(matrix, values, noise_level=0.01, norm_cap=0.5,
-                        cfg=RecoveryConfig(sparsity=1))
+    out = basis_pursuit(matrix, values, noise_level=0.01, norm_cap=0.5)
     assert out is None
 
 
 def test_basis_pursuit_validation():
-    cfg = RecoveryConfig(sparsity=1)
     with pytest.raises(ConfigurationError):
-        basis_pursuit(np.eye(2), np.zeros(2), -0.1, 1.0, cfg)
+        basis_pursuit(np.eye(2), np.zeros(2), -0.1, 1.0)
     with pytest.raises(ConfigurationError):
-        basis_pursuit(np.eye(2), np.zeros(3), 0.1, 1.0, cfg)
+        basis_pursuit(np.eye(2), np.zeros(3), 0.1, 1.0)
 
 
 # Verbatim copies of the CoSaMP and basis-pursuit loops before their numpy
@@ -136,33 +133,31 @@ def test_basis_pursuit_validation():
 # with a fresh zero centre). They pin the trimmed loops to the same bits.
 
 
-def _ref_cosamp(matrix, values, cfg):
+def _ref_cosamp(matrix, values, s):
     m, d = matrix.shape
-    s = cfg.sparsity
-    x, resid_norm = _ref_pursuit(matrix, values, cfg, frozenset())
+    x, resid_norm = _ref_pursuit(matrix, values, s, frozenset())
     taboo = set()
     restarts = 0
-    while resid_norm > cfg.tolerance and restarts < 2:
+    while resid_norm > TOLERANCE and restarts < 2:
         taboo.update(np.flatnonzero(x).tolist())
         if len(taboo) >= d - s:
             break
-        retry, retry_norm = _ref_pursuit(matrix, values, cfg, frozenset(taboo))
+        retry, retry_norm = _ref_pursuit(matrix, values, s, frozenset(taboo))
         if retry_norm < resid_norm:
             x, resid_norm = retry, retry_norm
         restarts += 1
     return x
 
 
-def _ref_pursuit(matrix, values, cfg, taboo):
+def _ref_pursuit(matrix, values, s, taboo):
     m, d = matrix.shape
-    s = cfg.sparsity
     x = np.zeros(d)
     residual = values.copy()
     resid_norm = float(np.linalg.norm(residual))
     stalled = 0
     first = True
-    for _ in range(cfg.max_iterations):
-        if resid_norm <= cfg.tolerance:
+    for _ in range(MAX_ITERATIONS):
+        if resid_norm <= TOLERANCE:
             break
         proxy = matrix.T @ residual
         if first and taboo:
@@ -187,10 +182,10 @@ def _ref_pursuit(matrix, values, cfg, taboo):
     return x, resid_norm
 
 
-def _ref_basis_pursuit(matrix, values, noise_level, norm_cap, cfg):
+def _ref_basis_pursuit(matrix, values, noise_level, norm_cap):
     m, d = matrix.shape
     gap, gap_point = _min_residual_on_cap(matrix, values, norm_cap)
-    if gap > noise_level + cfg.tolerance:
+    if gap > noise_level + TOLERANCE:
         return None
 
     op_norm = float(np.linalg.norm(matrix, 2))
@@ -201,7 +196,7 @@ def _ref_basis_pursuit(matrix, values, noise_level, norm_cap, cfg):
     z = np.zeros(d)
     z_bar = np.zeros(d)
     dual = np.zeros(m)
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         ahead = dual + step * (matrix @ z_bar)
         dual = ahead - step * _ref_project_ball(ahead / step, values, noise_level)
         z_prev = z
@@ -209,7 +204,7 @@ def _ref_basis_pursuit(matrix, values, noise_level, norm_cap, cfg):
         z = _ref_project_ball(z, np.zeros(d), norm_cap)
         z_bar = 2.0 * z - z_prev
 
-    slack = cfg.tolerance
+    slack = TOLERANCE
     candidates = []
     for candidate in (
         _polish(matrix, values, z),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from congo.core import ConfigurationError
-from congo.env_jackson import JacksonEnvironment, SimConfig
+from congo.env_jackson import FixedWorkload, JacksonEnvironment, SimConfig
 from congo.env_quadratic import QuadraticAdversary, QuadraticAdversaryConfig, smoothness_bounds
 from congo.optimizers import ConstantRate, InverseDecayRate, StepDecayRate
 from congo.scenario import (
@@ -246,6 +246,19 @@ def test_spec_error_messages_name_the_field(tmp_path):
             load_spec(write(tmp_path, base.replace(old, new), name=f"named-{i}.cfg"))
 
 
+def test_an_empty_name_falls_back_to_the_file_stem(tmp_path):
+    text = JACKSON_SPEC.replace("kind = jackson", "kind = jackson\nname =")
+    assert load_spec(write(tmp_path, text, name="stem.cfg")).name == "stem"
+
+
+def test_an_empty_workload_kind_means_fixed(tmp_path):
+    varying = "kind = variable-rate\nsegments = 1-5:2.0 6-10:3.0"
+    assert varying in JACKSON_SPEC
+    text = JACKSON_SPEC.replace(varying, "kind =\nrate = 2.0")
+    env = load_spec(write(tmp_path, text)).make_environment()
+    assert env.schedule == FixedWorkload(rate=2.0, mix={"alpha": 0.25, "beta": 0.75})
+
+
 def test_readme_scenario_examples_load(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.S | re.M)
@@ -277,10 +290,7 @@ def test_readme_examples_show_every_key():
     assert set(quadratic["experiment"]) == _EXPERIMENT_KEYS
     assert set(quadratic["quadratic"]) == fields(QuadraticAdversaryConfig)
     assert set(quadratic["sweep"]) == _SWEEP_KEYS
-    assert set(jackson["simulation"]) == fields(SimConfig) | {
-        "initial_allocation",
-        "initial_entry_allocation",
-    }
+    assert set(jackson["simulation"]) == fields(SimConfig)
 
 
 def test_auto_bounds_refused_outside_the_quadratic(tmp_path):
