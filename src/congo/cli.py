@@ -59,7 +59,11 @@ def _apply_overrides(specs, args, name: str) -> Path:
         seeds = parse_seed_list(args.seeds)
         for spec in specs:
             spec.seeds = seeds
-    return Path(args.out) if args.out else Path("results") / name
+    if args.out is None:
+        return Path("results") / name
+    if not args.out.strip():  # as with --seeds, empty is an error, not the default
+        raise ConfigurationError("--out: the path is empty")
+    return Path(args.out)
 
 
 def _cmd_run(args) -> int:
@@ -81,7 +85,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    spec = load_spec(find_preset(args.spec))
+    path = find_preset(args.spec)
+    spec = load_spec(path)
+    if spec.sweep:
+        load_sweep(path)  # reject whatever `congo sweep` would
     sweep = f", sweep={spec.sweep[0]}x{len(spec.sweep[1])}" if spec.sweep else ""
     print(
         f"ok: {spec.name} (kind={spec.kind}, rounds={spec.horizon}, "

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import Ball, ConfigurationError, SmoothnessProfile
 from .sensing import ValueOracle
@@ -213,5 +212,7 @@ def _minimize_diag_quadratic(
         hi *= 10.0
         if hi > 1e18:  # pragma: no cover
             raise ConfigurationError("could not bracket the ball-constraint multiplier")
+    from scipy.optimize import brentq  # imported here: only the hindsight reference needs scipy
+
     mu = brentq(excess, lo, hi, xtol=1e-14)
     return point(mu)

@@ -33,7 +33,6 @@ from .core import (
 )
 from .recovery import basis_pursuit, cosamp, rescale
 from .sensing import (
-    _DISTRIBUTIONS,
     ValueOracle,
     draw_matrix,
     forward_differences,
@@ -105,7 +104,6 @@ class OptimizerConfig:
         default_factory=lambda: SmoothnessProfile(lipschitz=0.0, smoothness=0.0)
     )
     normalize_gradient: bool = False
-    distribution: str | None = None  # None: gaussian, or rademacher for congo-z
 
     def __post_init__(self):
         if self.name not in ALL_OPTIMIZERS:
@@ -116,14 +114,8 @@ class OptimizerConfig:
             value = getattr(self, key)
             if value is not None and value < 1:  # k None: the default averaging count
                 raise ConfigurationError(f"{key}: must be >= 1, got {value}")
-        if self.distribution is not None and self.distribution not in _DISTRIBUTIONS:
-            raise ConfigurationError(
-                f"distribution {self.distribution!r} is not one of {', '.join(_DISTRIBUTIONS)}"
-            )
 
     def matrix_distribution(self) -> str:
-        if self.distribution is not None:
-            return self.distribution
         return "rademacher" if self.name == "congo-z" else "gaussian"
 
     def averaging_count(self) -> int:

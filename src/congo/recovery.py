@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import ConfigurationError
 
@@ -216,6 +215,10 @@ def _debias(matrix, values, z) -> np.ndarray | None:
 
 def _min_residual_on_cap(matrix, values, norm_cap) -> tuple[float, np.ndarray | None]:
     """Exact min of ||A z - y|| over ||z|| <= norm_cap, via the ridge path."""
+    # imported here so that runs without congo-b never load scipy, and first
+    # thing, so that every congo-b run loads it whether or not its cap binds
+    from scipy.optimize import brentq
+
     min_norm, *_ = np.linalg.lstsq(matrix, values, rcond=None)
     if float(np.linalg.norm(min_norm)) <= norm_cap:
         return float(np.linalg.norm(values - matrix @ min_norm)), min_norm

@@ -62,7 +62,6 @@ _OPTIMIZER_KEYS = {
     "lipschitz",
     "smoothness",
     "normalize_gradient",
-    "distribution",
 }
 
 

@@ -19,7 +19,7 @@ from .core import ConfigurationError, MeasurementError
 
 log = logging.getLogger(__name__)
 
-_DISTRIBUTIONS = ("gaussian", "rademacher", "sphere")
+_DISTRIBUTIONS = ("gaussian", "rademacher")
 _MAX_REDRAWS = 64
 
 
@@ -71,12 +71,9 @@ def pointwise(fn: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.nd
 def draw_matrix(m: int, d: int, distribution: str, rng: np.random.Generator) -> np.ndarray:
     """Draw a fresh (m, d) measurement matrix.
 
-    gaussian and rademacher rows have iid entries. sphere rows are gaussian
-    draws normalized to unit length: same directions, but the probe radius in
-    measure_single_row becomes exactly delta instead of delta over the row
-    norm, which keeps finite differences above the noise floor when function
-    values are themselves stochastic. Rows that come out identically zero are
-    redrawn so the perturbation directions below are always well defined.
+    gaussian and rademacher rows have iid entries. Rows that come out
+    identically zero are redrawn so the perturbation directions below are
+    always well defined.
     """
     if m < 1 or d < 1:
         raise ConfigurationError(f"matrix dimensions must be >= 1, got {m}x{d}")
@@ -89,13 +86,11 @@ def draw_matrix(m: int, d: int, distribution: str, rng: np.random.Generator) -> 
             break
         log.debug("redrawing %d zero measurement rows", int(bad.sum()))
         entries[bad] = _draw_rows(int(bad.sum()), d, distribution, rng)
-    if distribution == "sphere":
-        entries /= np.linalg.norm(entries, axis=1, keepdims=True)
     return entries
 
 
 def _draw_rows(m: int, d: int, distribution: str, rng: np.random.Generator) -> np.ndarray:
-    if distribution in ("gaussian", "sphere"):
+    if distribution == "gaussian":
         return rng.standard_normal((m, d))
     return rng.integers(0, 2, size=(m, d)).astype(float) * 2.0 - 1.0
 

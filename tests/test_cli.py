@@ -1,6 +1,10 @@
-"""Command-line exit codes."""
+"""Command-line exit codes, and the modules a run imports."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,8 +124,10 @@ BAD_SPECS = {
     "sweep-empty": (SWEEP, "values = 4 6", "values =", r"\[sweep\] values: the list is empty"),
     "zero-m": (JACKSON, "m = 2", "m = 0", r"\[optimizer\.congo-e\] m: must be >= 1, got 0"),
     "zero-k": (JACKSON, OPT, OPT + "\nk = 0", r"\[optimizer\.congo-e\] k: must be >= 1, got 0"),
-    "bogus-distribution": (
-        JACKSON, OPT, OPT + "\ndistribution = bogus", r"\[optimizer\.congo-e\] distribution 'bogus'"
+    # the optimizer name picks the matrix distribution
+    "distribution": (
+        JACKSON, OPT, OPT + "\ndistribution = rademacher",
+        r"\[optimizer\.defaults\] distribution: unknown key",
     ),
     "gd-on-jackson": (
         JACKSON, "optimizers = congo-e", "optimizers = congo-e gd", r"\[experiment\] optimizers: gd"
@@ -265,6 +271,81 @@ def test_empty_seeds_exit_2_and_write_nothing(tmp_path, capsys):
     assert main(["sweep", str(sweep), "--seeds", " ", "--out", str(tmp_path / "sweep")]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: seeds: the list is empty"] * 2
     assert not (tmp_path / "run").exists() and not (tmp_path / "sweep").exists()
+
+
+def test_empty_out_exit_2_and_write_nothing(tmp_path, capsys, monkeypatch):
+    spec, sweep = tmp_path / "spec.cfg", tmp_path / "sweep.cfg"
+    spec.write_text(JACKSON)
+    sweep.write_text(SWEEP)
+    monkeypatch.chdir(tmp_path)  # an empty --out once fell back to results/<name> here
+    assert main(["run", str(spec), "--seeds", "0", "--out", ""]) == 2
+    assert main(["sweep", str(sweep), "--out", " "]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: --out: the path is empty"] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.cfg", "sweep.cfg"]
+
+
+# sweeps whose base spec loads but whose swept specs do not: (text of SWEEP to
+# replace, its replacement, pattern the error message must match)
+BAD_SWEEP_VALUES = {
+    "zero-m": ("values = 4 6", "values = 0 6", r"\[optimizer\.congo-e\] m: must be >= 1, got 0"),
+    "sparsity-over-dimension": (
+        "parameter = m\nvalues = 4 6", "parameter = sparsity\nvalues = 2 11",
+        r"\[optimizer\.congo-e\] sparsity: need 1 <= sparsity <= dimension, got 11/10",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SWEEP_VALUES))
+def test_validate_rejects_what_sweep_rejects(case, tmp_path, capsys):
+    old, new, message = BAD_SWEEP_VALUES[case]
+    assert old in SWEEP
+    spec = tmp_path / f"{case}.cfg"
+    spec.write_text(SWEEP.replace(old, new))
+    assert main(["validate", str(spec)]) == 2
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "sweep")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line in err:
+        assert line.startswith("error: ") and re.search(message, line), line
+    assert not (tmp_path / "sweep").exists()
+
+
+RUN_AND_LIST_SCIPY = """\
+import sys
+from congo.cli import main
+assert main(sys.argv[1:]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("base", [JACKSON, QUADRATIC], ids=["jackson", "quadratic-congo-e"])
+def test_runs_without_congo_b_never_import_scipy(base, tmp_path):
+    # only congo-b's capped recovery and the hindsight reference call scipy's brentq
+    spec = tmp_path / "spec.cfg"
+    spec.write_text(base)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_AND_LIST_SCIPY, "run", str(spec), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_congo_b_recovery_imports_scipy_whether_or_not_the_cap_binds():
+    # the minimum-norm solution lies inside the cap, so brentq never runs; the
+    # import still happens, so a congo-b run's memory does not depend on its data
+    code = (
+        "import sys, numpy as np\n"
+        "from congo.recovery import _min_residual_on_cap\n"
+        "gap, z = _min_residual_on_cap(np.eye(2), np.ones(2), 10.0)\n"
+        "print(gap == 0.0, 'scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.split() == ["True", "True"]
 
 
 def test_sweep_rejects_no_plot(capsys):

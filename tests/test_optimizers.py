@@ -170,11 +170,10 @@ def test_optimizer_config_validation():
     OptimizerConfig(name="gd", schedule=ConstantRate(0.1), delta=0.0)
 
 
-def test_matrix_distribution_defaults_and_override():
+def test_matrix_distribution_follows_the_optimizer():
     assert cfg_for("congo-e").matrix_distribution() == "gaussian"
     assert cfg_for("congo-z").matrix_distribution() == "rademacher"
     assert cfg_for("congo-b").matrix_distribution() == "gaussian"
-    assert cfg_for("congo-z", distribution="sphere").matrix_distribution() == "sphere"
 
 
 def test_averaging_count_rules():
