@@ -31,12 +31,7 @@ class Ball:
         if not np.isfinite(self.radius) or self.radius < 0:
             raise ConfigurationError(f"ball radius must be finite and >= 0, got {self.radius}")
 
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
     def project(self, point: np.ndarray) -> np.ndarray:
-        point = _as_vector(point, self.dim)
         offset = point - self.center
         dist = float(np.linalg.norm(offset))
         if dist <= self.radius:
@@ -46,7 +41,6 @@ class Ball:
         return self.center + offset * (self.radius / dist)
 
     def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
-        point = _as_vector(point, self.dim)
         return float(np.linalg.norm(point - self.center)) <= self.radius + tol
 
 
@@ -67,20 +61,14 @@ class Box:
         if np.any(lower > upper):
             raise ConfigurationError("box lower bound exceeds upper bound")
 
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
     def project(self, point: np.ndarray) -> np.ndarray:
-        point = _as_vector(point, self.dim)
         return np.clip(point, self.lower, self.upper)
 
     def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
-        point = _as_vector(point, self.dim)
         return bool(np.all(point >= self.lower - tol) and np.all(point <= self.upper + tol))
 
 
-# Any feasible region used by the optimizers: needs project/contains/dim.
+# Any feasible region used by the optimizers: needs project/contains.
 ConstraintSet = Ball | Box
 
 
@@ -112,14 +100,4 @@ class SmoothnessProfile:
 
 def gd_update(x: np.ndarray, gradient: np.ndarray, eta: float, cset: ConstraintSet) -> np.ndarray:
     """One projected gradient step: project(x - eta * gradient)."""
-    assert eta >= 0, "learning rate must be nonnegative"
-    x = _as_vector(x, cset.dim)
-    gradient = _as_vector(gradient, cset.dim)
     return cset.project(x - eta * gradient)
-
-
-def _as_vector(point, dim: int) -> np.ndarray:
-    arr = np.asarray(point, dtype=float)
-    if arr.shape != (dim,):
-        raise ConfigurationError(f"expected vector of length {dim}, got shape {arr.shape}")
-    return arr

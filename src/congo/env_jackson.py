@@ -73,8 +73,10 @@ def _check_mix(mix: dict[str, float], names: tuple[str, ...], field: str):
     for name, prob in mix.items():
         if name not in names:
             raise ConfigurationError(f"{field} references unknown job type {name!r}")
-        if prob < 0:
-            raise ConfigurationError(f"{field} probability for {name!r} is negative")
+        if not 0 <= prob < math.inf:
+            raise ConfigurationError(
+                f"{field} probability for {name!r} must be finite and >= 0, got {prob}"
+            )
         total += prob
     if abs(total - 1.0) > 1e-9:
         raise ConfigurationError(f"{field} probabilities sum to {total}, expected 1")
@@ -180,6 +182,11 @@ class SimConfig:
             raise ConfigurationError(
                 f"correction_factor: must be finite and > 0, got {self.correction_factor}"
             )
+        for key in ("lower_bound", "upper_bound"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ConfigurationError(
+                    f"{key}: must be finite and >= 0, got {getattr(self, key)}"
+                )
         if self.lower_bound > self.upper_bound:
             raise ConfigurationError(
                 f"lower_bound: {self.lower_bound} exceeds upper_bound {self.upper_bound}"
@@ -219,16 +226,9 @@ def simulate_window(
     the draws used, so it ends where one rng.exponential call per service start
     would leave it, and the window's values are the same bit for bit.
     """
-    _check_rate(rate, "arrival rate")
-    allocation = np.asarray(allocation, dtype=float)
-    if allocation.shape != (topology.num_queues,):
-        raise ConfigurationError(
-            f"allocation has shape {allocation.shape}, expected ({topology.num_queues},)"
-        )
-    if not np.all(np.isfinite(allocation)):
-        raise ConfigurationError("allocation must be finite")
     names = topology.job_names
-    _check_mix(mix, names, "mix")
+    # probes step outside the box, so near a lower_bound of 0 a probed
+    # allocation can be negative; its queue then serves at the floor rate
     service_rate = np.maximum(allocation, 0.0) + SERVICE_RATE_FLOOR
     mean_service = 1.0 / service_rate
     horizon = sim_cfg.warmup_seconds + sim_cfg.measure_seconds

@@ -187,8 +187,6 @@ def run_online(cfg: OptimizerConfig, env, horizon: int, seed: int) -> list[Round
     unstable cost observation (NaN) skips the step and applies the
     environment's corrective bump instead.
     """
-    if horizon < 1:
-        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     x = env.reset(seed)
     rng = np.random.default_rng([seed, _OPT_STREAM])
     cset = env.constraint_set
@@ -233,8 +231,6 @@ def postprocess(raw: np.ndarray | None, norm_cap: float, dim: int) -> GradientEs
     clipped=True. The cap check is inclusive, so a vector sitting exactly on
     the cap passes through.
     """
-    if norm_cap < 0:
-        raise ConfigurationError(f"norm cap must be >= 0, got {norm_cap}")
     if raw is not None:
         vector = np.asarray(raw, dtype=float)
         if not np.all(np.isfinite(vector)):

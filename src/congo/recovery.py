@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-from .core import ConfigurationError
-
 
 # cosamp's target residual norm, and basis_pursuit's feasibility slack
 TOLERANCE = 0.005
@@ -22,12 +20,7 @@ MAX_ITERATIONS = 50
 
 def rescale(matrix: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale both the matrix and the measurements by 1/sqrt(m)."""
-    matrix = np.asarray(matrix, dtype=float)
-    values = np.asarray(values, dtype=float)
-    m = matrix.shape[0]
-    if values.shape != (m,):
-        raise ConfigurationError(f"got {values.shape[0] if values.ndim else '?'} values for {m} rows")
-    factor = 1.0 / np.sqrt(m)
+    factor = 1.0 / np.sqrt(matrix.shape[0])
     return matrix * factor, values * factor
 
 
@@ -47,11 +40,7 @@ def cosamp(matrix: np.ndarray, values: np.ndarray, sparsity: int) -> np.ndarray:
     The result with the smallest residual wins, so a run that already sits at
     its noise floor is never made worse.
     """
-    if sparsity < 1:
-        raise ConfigurationError(f"sparsity: must be >= 1, got {sparsity}")
-    matrix = np.asarray(matrix, dtype=float)
-    values = np.asarray(values, dtype=float)
-    m, d = matrix.shape
+    d = matrix.shape[1]
     x, resid_norm = _pursuit(matrix, values, sparsity, frozenset())
     taboo: set[int] = set()
     restarts = 0
@@ -123,14 +112,7 @@ def basis_pursuit(
     correction. Returns None when no point of the norm ball comes within
     noise_level (+ TOLERANCE) of satisfying the measurements.
     """
-    if noise_level < 0 or norm_cap < 0:
-        raise ConfigurationError("noise_level and norm_cap must be >= 0")
-    matrix = np.asarray(matrix, dtype=float)
-    values = np.asarray(values, dtype=float)
     m, d = matrix.shape
-    if values.shape != (m,):
-        raise ConfigurationError("measurement length does not match matrix rows")
-
     gap, gap_point = _min_residual_on_cap(matrix, values, norm_cap)
     if gap > noise_level + TOLERANCE:
         return None

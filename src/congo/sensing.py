@@ -15,11 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ConfigurationError, MeasurementError
+from .core import MeasurementError
 
 log = logging.getLogger(__name__)
 
-_DISTRIBUTIONS = ("gaussian", "rademacher")
 _MAX_REDRAWS = 64
 
 
@@ -41,9 +40,6 @@ class ValueOracle:
         one query, and that value raises MeasurementError; otherwise all q
         points count.
         """
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2:
-            raise ConfigurationError(f"oracle takes a (q, d) batch, got shape {points.shape}")
         values = np.asarray(self._evaluate(points), dtype=float)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
@@ -75,10 +71,6 @@ def draw_matrix(m: int, d: int, distribution: str, rng: np.random.Generator) -> 
     identically zero are redrawn so the perturbation directions below are
     always well defined.
     """
-    if m < 1 or d < 1:
-        raise ConfigurationError(f"matrix dimensions must be >= 1, got {m}x{d}")
-    if distribution not in _DISTRIBUTIONS:
-        raise ConfigurationError(f"unknown distribution {distribution!r}")
     entries = _draw_rows(m, d, distribution, rng)
     for _ in range(_MAX_REDRAWS):
         bad = np.linalg.norm(entries, axis=1) == 0.0
@@ -116,7 +108,6 @@ def measure_single_row(
     entry satisfies |y_i - <grad f(x), a_i>| <= (L/2) delta with L the Hessian
     norm bound.
     """
-    x = _check_probe(x, matrix, delta)
     norms_sq = np.sum(matrix**2, axis=1)
     return forward_differences(oracle, x, matrix, delta / norms_sq) * norms_sq / delta
 
@@ -135,9 +126,6 @@ def measure_combined(
     one-query estimate of every entry of (A grad f) at once; averaging over k
     draws shrinks the cross-row interference, which has zero mean.
     """
-    if k < 1:
-        raise ConfigurationError(f"averaging count must be >= 1, got {k}")
-    x = _check_probe(x, matrix, delta)
     signs = _draw_rows(k, matrix.shape[0], "rademacher", rng)
     for _ in range(_MAX_REDRAWS):
         # one matrix-vector product and one dot product per draw, stacked:
@@ -158,16 +146,4 @@ def measure_combined(
 
 def prescribe_m(s: int, d: int) -> int:
     """Row count ceil(2 s ln(d/s)) for an s-sparse target in d dimensions, clamped to [1, d]."""
-    if not 1 <= s <= d:
-        raise ConfigurationError(f"need 1 <= s <= d, got s={s}, d={d}")
     return int(min(d, max(1, math.ceil(2.0 * s * math.log(d / s)))))
-
-
-def _check_probe(x: np.ndarray, matrix: np.ndarray, delta: float) -> np.ndarray:
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ConfigurationError(f"perturbation size must be finite and > 0, got {delta}")
-    x = np.asarray(x, dtype=float)
-    d = matrix.shape[1]
-    if x.shape != (d,):
-        raise ConfigurationError(f"point has shape {x.shape}, matrix expects ({d},)")
-    return x

@@ -195,6 +195,28 @@ BAD_SPECS = {
         JACKSON, "lipschitz = 6.0\nsmoothness = 1.0\n", "",
         r"\[optimizer\.congo-e\] lipschitz: missing required key \(a jackson network",
     ),
+    # each value below is checked only here: the per-round functions trust it
+    "zero-rounds": (JACKSON, "rounds = 2", "rounds = 0", r"\[experiment\] rounds: must be >= 1, got 0"),
+    "zero-sparsity-auto-m": (
+        QUADRATIC, "m = auto", "m = auto\nsparsity = 0",
+        r"\[optimizer\.congo-e\] sparsity: need 1 <= sparsity <= dimension, got 0/10",
+    ),
+    "zero-delta": (
+        JACKSON, "delta = 0.5", "delta = 0",
+        r"\[optimizer\.congo-e\] delta: must be finite and > 0, got 0\.0",
+    ),
+    "negative-smoothness": (
+        JACKSON, OPT, "smoothness = -1",
+        r"\[optimizer\.congo-e\] smoothness: must be finite and >= 0, got -1\.0",
+    ),
+    "negative-learning-rate": (
+        JACKSON, "learning_rate = 0.1", "learning_rate = -0.1",
+        r"\[optimizer\.congo-e\] learning_rate: eta must be finite and >= 0, got -0\.1",
+    ),
+    "mix-negative": (
+        TWO_JOBS, "mix = a:1.0", "mix = a:1.5 b:-0.5",
+        r"\[workload\] mix probability for 'b' must be finite and >= 0, got -0\.5",
+    ),
 }
 
 

