@@ -22,7 +22,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help=f"spec file path or preset name (see {PRESET_ENV_VAR})")
         p.add_argument("--seeds", help="override the spec's seeds, e.g. 0-9 or 1,2,5")
         p.add_argument("--out", help="output directory (default results/<name>)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel runs (default 1)")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for parallel runs, forked (default 1)")
 
     run_p = sub.add_parser("run", help="run one experiment spec")
     add_common(run_p)

@@ -1,5 +1,6 @@
 """Command-line exit codes, and the modules a run imports."""
 
+import multiprocessing
 import os
 import re
 import subprocess
@@ -332,25 +333,55 @@ def test_validate_rejects_what_sweep_rejects(case, tmp_path, capsys):
     assert not (tmp_path / "sweep").exists()
 
 
-RUN_AND_LIST_SCIPY = """\
+# argv: comma-separated top-level packages, then the congo command line
+RUN_AND_LIST_MODULES = """\
 import sys
 from congo.cli import main
-assert main(sys.argv[1:]) == 0
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+assert main(sys.argv[2:]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] in sys.argv[1].split(",")))
 """
+
+
+def modules_after_run(base, packages, tmp_path, *flags):
+    """The modules of packages that a fresh interpreter holds after one congo run of base."""
+    spec = tmp_path / "spec.cfg"
+    spec.write_text(base)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_AND_LIST_MODULES, packages,
+         "run", str(spec), "--out", str(tmp_path / "out"), *flags],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout.splitlines()[-1]
 
 
 @pytest.mark.parametrize("base", [JACKSON, QUADRATIC], ids=["jackson", "quadratic-congo-e"])
 def test_runs_without_congo_b_never_import_scipy(base, tmp_path):
     # only congo-b's capped recovery and the hindsight reference call scipy's brentq
+    assert modules_after_run(base, "scipy", tmp_path) == "[]"
+
+
+def test_a_serial_run_never_imports_the_process_pool(tmp_path):
+    # only --jobs above 1 starts worker processes, so only it loads their modules
+    assert modules_after_run(JACKSON, "multiprocessing,concurrent", tmp_path, "--jobs", "1") == "[]"
+
+
+# a cut Jackson spec: two seeds of two optimizers, so --jobs 2 and 4 both fan out
+FAN_OUT = JACKSON.replace("seeds = 0", "seeds = 0-1").replace("optimizers = congo-e", "optimizers = congo-e nsgd")
+
+
+def test_raw_csv_is_byte_identical_across_jobs_and_leaves_no_worker(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # --jobs 4 starts 4 workers on any host
     spec = tmp_path / "spec.cfg"
-    spec.write_text(base)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", RUN_AND_LIST_SCIPY, "run", str(spec), "--out", str(tmp_path / "out")],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120, check=True,
-    )
-    assert done.stdout.splitlines()[-1] == "[]"
+    spec.write_text(FAN_OUT)
+    raw = {}
+    for jobs in (1, 2, 4):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", str(spec), "--out", str(out), "--jobs", str(jobs), "--no-plot"]) == 0
+        assert multiprocessing.active_children() == []
+        raw[jobs] = (out / "raw.csv").read_bytes()
+    assert raw[2] == raw[1] and raw[4] == raw[1]
+    assert raw[1].count(b"\n") == 1 + 2 * 2 * 2  # header, then 2 optimizers x 2 seeds x 2 rounds
 
 
 def test_congo_b_recovery_imports_scipy_whether_or_not_the_cap_binds():

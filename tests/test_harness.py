@@ -1,13 +1,13 @@
 """Experiment runner, CSV artifacts, and the SVG plot."""
 
+import concurrent.futures
+import multiprocessing
 import os
 import xml.etree.ElementTree as ET
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from congo import harness
 from congo.core import Ball, Box, ConfigurationError
 from congo.harness import (
     AGGREGATE_COLUMNS,
@@ -167,15 +167,15 @@ def test_rerun_is_byte_identical_across_thread_counts(tmp_path, monkeypatch):
     (4, 1, (0, 1), []),
     (1, 8, (0, 1), []),
 ])
-def test_thread_pool_never_exceeds_cores_or_runs(monkeypatch, jobs, cores, seeds, pools):
+def test_process_pool_never_exceeds_cores_or_runs(monkeypatch, jobs, cores, seeds, pools):
     started = []
 
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
             started.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     table = run_experiment(quad_spec([opt("gd"), opt("congo-e"), opt("gdsp")], seeds=seeds), jobs=jobs)
     assert started == pools
@@ -183,7 +183,8 @@ def test_thread_pool_never_exceeds_cores_or_runs(monkeypatch, jobs, cores, seeds
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_a_run_that_raises_stops_the_experiment(tmp_path, jobs):
+def test_a_run_that_raises_stops_the_experiment(tmp_path, monkeypatch, jobs):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 starts a pool on any host
     spec = ExperimentSpec(
         name="mixed",
         kind="quadratic",
@@ -192,9 +193,13 @@ def test_a_run_that_raises_stops_the_experiment(tmp_path, jobs):
         horizon=4,
         seeds=(0, 1),
     )
-    with pytest.raises(ConfigurationError, match="gd needs an environment with exact gradients"):
+    with pytest.raises(ConfigurationError) as raised:
         run_experiment(spec, output_dir=tmp_path, jobs=jobs, plot=False)
+    # a worker's error comes back with its own type and message
+    assert type(raised.value) is ConfigurationError
+    assert str(raised.value) == "gd needs an environment with exact gradients"
     assert not (tmp_path / "raw.csv").exists()
+    assert multiprocessing.active_children() == []  # no worker outlives the failed call
 
 
 def test_missing_gradient_and_nan_cost_columns(tmp_path):
