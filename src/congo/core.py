@@ -1,8 +1,9 @@
-"""Feasible sets, projections, and the basic gradient-step primitives."""
+"""Feasible sets, projections, the basic gradient-step primitives, and a bracketing root-finder."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,3 +102,75 @@ class SmoothnessProfile:
 def gd_update(x: np.ndarray, gradient: np.ndarray, eta: float, cset: ConstraintSet) -> np.ndarray:
     """One projected gradient step: project(x - eta * gradient)."""
     return cset.project(x - eta * gradient)
+
+
+# brentq's defaults in SciPy: relative tolerance 4 * eps and an iteration budget of 100
+BRENT_RTOL = 4 * sys.float_info.epsilon
+BRENT_MAX_ITERATIONS = 100
+
+
+def brent_root(f, lo: float, hi: float, xtol: float = 2e-12) -> float:
+    """A root of f in [lo, hi] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of the loop in SciPy's C routine Zeros/brentq.c,
+    with its default tolerances, so it returns the root SciPy's brentq
+    returns, to the bit; tests/test_core.py checks that. Inside the loop the
+    root lies between xcur and xblk, and xpre is the previous estimate.
+    Raises ValueError on a NaN value of f or when f(lo) and f(hi) share a
+    sign, and RuntimeError when BRENT_MAX_ITERATIONS steps do not converge.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(lo), float(hi)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"f(lo) and f(hi) must have different signs, got {fpre} and {fcur}")
+    for _ in range(BRENT_MAX_ITERATIONS):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        # the tolerance is 2 * delta
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"brent_root: no convergence after {BRENT_MAX_ITERATIONS} iterations, at x={xcur}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Ball, ConfigurationError, SmoothnessProfile
+from .core import Ball, ConfigurationError, SmoothnessProfile, brent_root
 from .sensing import ValueOracle
 
 _ROUND_STREAM = 0
@@ -212,7 +212,4 @@ def _minimize_diag_quadratic(
         hi *= 10.0
         if hi > 1e18:  # pragma: no cover
             raise ConfigurationError("could not bracket the ball-constraint multiplier")
-    from scipy.optimize import brentq  # imported here: only the hindsight reference needs scipy
-
-    mu = brentq(excess, lo, hi, xtol=1e-14)
-    return point(mu)
+    return point(brent_root(excess, lo, hi, xtol=1e-14))

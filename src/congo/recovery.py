@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .core import brent_root
+
 
 # cosamp's target residual norm, and basis_pursuit's feasibility slack
 TOLERANCE = 0.005
@@ -197,19 +199,20 @@ def _debias(matrix, values, z) -> np.ndarray | None:
 
 def _min_residual_on_cap(matrix, values, norm_cap) -> tuple[float, np.ndarray | None]:
     """Exact min of ||A z - y|| over ||z|| <= norm_cap, via the ridge path."""
-    # imported here so that runs without congo-b never load scipy, and first
-    # thing, so that every congo-b run loads it whether or not its cap binds
-    from scipy.optimize import brentq
-
     min_norm, *_ = np.linalg.lstsq(matrix, values, rcond=None)
     if float(np.linalg.norm(min_norm)) <= norm_cap:
         return float(np.linalg.norm(values - matrix @ min_norm)), min_norm
     u, sing, vt = np.linalg.svd(matrix, full_matrices=False)
     coeff = u.T @ values
 
+    def weights(lam: float) -> np.ndarray:
+        # a zero singular value carries no weight, as in the pseudo-inverse;
+        # at lam = 0 it would otherwise give 0 / 0
+        denom = sing**2 + lam
+        return np.divide(sing * coeff, denom, out=np.zeros_like(denom), where=denom > 0)
+
     def excess(lam: float) -> float:
-        weights = sing * coeff / (sing**2 + lam)
-        return float(np.linalg.norm(weights)) - norm_cap
+        return float(np.linalg.norm(weights(lam))) - norm_cap
 
     if norm_cap == 0.0:
         return float(np.linalg.norm(values)), np.zeros(matrix.shape[1])
@@ -218,8 +221,7 @@ def _min_residual_on_cap(matrix, values, norm_cap) -> tuple[float, np.ndarray | 
         hi *= 10.0
         if hi > 1e18:  # pragma: no cover - pathological scaling
             return float(np.linalg.norm(values)), None
-    lam = brentq(excess, 0.0, hi)
-    z = vt.T @ (sing * coeff / (sing**2 + lam))
+    z = vt.T @ weights(brent_root(excess, 0.0, hi))
     return float(np.linalg.norm(values - matrix @ z)), z
 
 

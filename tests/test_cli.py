@@ -342,23 +342,54 @@ print(sorted(name for name in sys.modules if name.split(".")[0] in sys.argv[1].s
 """
 
 
-def modules_after_run(base, packages, tmp_path, *flags):
-    """The modules of packages that a fresh interpreter holds after one congo run of base."""
-    spec = tmp_path / "spec.cfg"
-    spec.write_text(base)
+def last_line_of_fresh_run(code, *argv):
+    """The last line that a fresh interpreter, with congo on its path, prints running code with argv."""
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", RUN_AND_LIST_MODULES, packages,
-         "run", str(spec), "--out", str(tmp_path / "out"), *flags],
+        [sys.executable, "-c", code, *argv],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120, check=True,
     )
     return done.stdout.splitlines()[-1]
 
 
-@pytest.mark.parametrize("base", [JACKSON, QUADRATIC], ids=["jackson", "quadratic-congo-e"])
-def test_runs_without_congo_b_never_import_scipy(base, tmp_path):
-    # only congo-b's capped recovery and the hindsight reference call scipy's brentq
-    assert modules_after_run(base, "scipy", tmp_path) == "[]"
+def modules_after_run(base, packages, tmp_path, *flags):
+    """The modules of packages that a fresh interpreter holds after one congo run of base."""
+    spec = tmp_path / "spec.cfg"
+    spec.write_text(base)
+    return last_line_of_fresh_run(
+        RUN_AND_LIST_MODULES, packages, "run", str(spec), "--out", str(tmp_path / "out"), *flags
+    )
+
+
+# argv: a Jackson spec, a quadratic spec, an output directory
+RUN_EVERY_ROOT_FINDER = """\
+import sys
+import numpy as np
+from congo.cli import main
+from congo.core import Ball
+from congo.env_quadratic import QuadraticFunction, hindsight_optimum
+from congo.recovery import _min_residual_on_cap
+jackson, quadratic, out = sys.argv[1:]
+assert main(["run", jackson, "--out", out + "/jackson", "--no-plot"]) == 0
+assert main(["run", quadratic, "--out", out + "/quadratic", "--no-plot"]) == 0
+# the minimum-norm solution has norm sqrt(2), so the cap binds and the root-finder runs
+gap, point = _min_residual_on_cap(np.eye(2), np.ones(2), 0.5)
+assert abs(np.linalg.norm(point) - 0.5) < 1e-9
+pull = QuadraticFunction(diag=np.zeros(2), linear=np.array([-1.0, 0.0]), constant=0.0)
+x_star, _ = hindsight_optimum([pull], Ball(center=np.zeros(2), radius=3.0))
+assert abs(x_star[0] - 3.0) < 1e-7
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_code_path_imports_scipy(tmp_path):
+    # congo-e and congo-b runs, the capped ridge path and the hindsight
+    # reference all find their roots with core.brent_root
+    specs = []
+    for name, text in (("jackson", JACKSON), ("quadratic", QUADRATIC.replace("congo-e", "congo-e congo-b"))):
+        specs.append(tmp_path / f"{name}.cfg")
+        specs[-1].write_text(text)
+    assert last_line_of_fresh_run(RUN_EVERY_ROOT_FINDER, *map(str, specs), str(tmp_path / "out")) == "[]"
 
 
 def test_a_serial_run_never_imports_the_process_pool(tmp_path):
@@ -382,23 +413,6 @@ def test_raw_csv_is_byte_identical_across_jobs_and_leaves_no_worker(tmp_path, mo
         raw[jobs] = (out / "raw.csv").read_bytes()
     assert raw[2] == raw[1] and raw[4] == raw[1]
     assert raw[1].count(b"\n") == 1 + 2 * 2 * 2  # header, then 2 optimizers x 2 seeds x 2 rounds
-
-
-def test_congo_b_recovery_imports_scipy_whether_or_not_the_cap_binds():
-    # the minimum-norm solution lies inside the cap, so brentq never runs; the
-    # import still happens, so a congo-b run's memory does not depend on its data
-    code = (
-        "import sys, numpy as np\n"
-        "from congo.recovery import _min_residual_on_cap\n"
-        "gap, z = _min_residual_on_cap(np.eye(2), np.ones(2), 10.0)\n"
-        "print(gap == 0.0, 'scipy.optimize' in sys.modules)\n"
-    )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120, check=True,
-    )
-    assert done.stdout.split() == ["True", "True"]
 
 
 def test_sweep_rejects_no_plot(capsys):

@@ -1,16 +1,20 @@
-"""Feasible sets and the projected-step primitive."""
+"""Feasible sets, the projected-step primitive, and the root-finder."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congo import env_quadratic, recovery
 from congo.core import (
     Ball,
     Box,
     ConfigurationError,
     GradientEstimate,
     SmoothnessProfile,
+    brent_root,
     gd_update,
 )
 
@@ -98,3 +102,66 @@ def test_smoothness_profile_rejects_negative_bounds():
         SmoothnessProfile(lipschitz=-1.0, smoothness=0.0)
     with pytest.raises(ConfigurationError):
         SmoothnessProfile(lipschitz=1.0, smoothness=-0.5)
+
+
+def _random_bracket(rng):
+    """A function with one simple root r, and a bracket of it spanning up to six decades."""
+    r = rng.normal() * 10 ** rng.uniform(-3, 3)
+    f = [
+        lambda x: x - r,
+        lambda x: math.tanh(x - r),
+        lambda x: math.atan(x - r) + 0.01 * (x - r),
+        lambda x: (x - r) * ((x - r) ** 2 + 1.0),
+    ][rng.integers(4)]
+    lo = r - abs(rng.normal()) * 10 ** rng.uniform(-3, 3)
+    hi = r + abs(rng.normal()) * 10 ** rng.uniform(-3, 3)
+    return (f, hi, lo) if rng.random() < 0.5 else (f, lo, hi)
+
+
+def test_brent_root_is_bit_equal_to_scipy_brentq(monkeypatch):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        f, lo, hi = _random_bracket(rng)
+        for xtol in (2e-12, 1e-14):
+            assert brent_root(f, lo, hi, xtol=xtol) == brentq(f, lo, hi, xtol=xtol)
+
+    # the call sites' own excess functions: the ridge path with its cap
+    # binding (a rank-deficient matrix among them) and the hindsight reference
+    # pulled to the boundary, with and without zero-curvature coordinates
+    roots = []
+
+    def checked(f, lo, hi, **kw):
+        root = brent_root(f, lo, hi, **kw)
+        assert root == brentq(f, lo, hi, **kw)
+        roots.append(root)
+        return root
+
+    monkeypatch.setattr(recovery, "brent_root", checked)
+    monkeypatch.setattr(env_quadratic, "brent_root", checked)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(6, 20))
+        if seed % 5 == 0:
+            matrix[:, 1:] = 0.0
+        values = rng.normal(size=6)
+        min_norm, *_ = np.linalg.lstsq(matrix, values, rcond=None)
+        recovery._min_residual_on_cap(matrix, values, 0.5 * float(np.linalg.norm(min_norm)))
+        diag = np.where(rng.random(8) < 0.3 * (seed % 2), 0.0, rng.uniform(0.1, 2.0, 8))
+        f = env_quadratic.QuadraticFunction(diag=diag, linear=rng.normal(size=8) * 10.0, constant=0.0)
+        env_quadratic.hindsight_optimum([f], Ball(center=np.zeros(8), radius=0.5))
+    assert len(roots) == 40
+
+
+def test_brent_root_errors_match_scipy_brentq():
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    no_sign_change = (lambda x: x * x + 1.0, -1.0, 1.0)
+    # the first step, a bisection, lands on 0.5, where f is NaN
+    nan_inside = (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0)
+    # a step function over 600 decades needs about 1000 halvings, not 100
+    no_convergence = (lambda x: -1.0 if x < 0.1234 else 1.0, -1e300, 1e300)
+    for case, error in ((no_sign_change, ValueError), (nan_inside, ValueError), (no_convergence, RuntimeError)):
+        with pytest.raises(error):
+            brentq(*case)
+        with pytest.raises(error):
+            brent_root(*case)

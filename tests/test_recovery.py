@@ -5,6 +5,8 @@ signals against fresh Gaussian matrices, one rng per seed, so the success
 counts below are frozen properties of the implementation.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,18 @@ def test_basis_pursuit_rejects_infeasible_systems():
     values = np.full(3, 10.0)
     out = basis_pursuit(matrix, values, noise_level=0.01, norm_cap=0.5)
     assert out is None
+
+
+def test_capped_recovery_survives_a_rank_deficient_matrix():
+    # the cap binds and one singular value is zero: at lam = 0 the ridge
+    # weights used to be 0 / 0, and the NaN crashed the root-finder
+    matrix = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    values = np.array([1.0, 2.0])
+    gap, point = _min_residual_on_cap(matrix, values, 0.1)
+    assert gap == pytest.approx(math.sqrt(0.9**2 + 1.9**2))
+    assert np.allclose(point, [0.1, 0.0, 0.0])
+    assert basis_pursuit(matrix, values, 0.01, 0.1) is None
+    assert np.allclose(basis_pursuit(matrix, values, 2.2, 0.1), [0.1, 0.0, 0.0])
 
 
 # Verbatim copies of the CoSaMP and basis-pursuit loops before their numpy
