@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -327,7 +326,8 @@ def emit_plot(table: ResultTable, path: str | Path) -> None:
             f'<line x1="{_ML + 12}" y1="{ly - 4}" x2="{_ML + 40}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="3"/>'
         )
-        parts.append(f'<text x="{_ML + 46}" y="{ly}">{escape(name)}</text>')
+        # names are ALL_OPTIMIZERS entries, none of which needs XML escaping
+        parts.append(f'<text x="{_ML + 46}" y="{ly}">{name}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 

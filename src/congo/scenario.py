@@ -13,7 +13,6 @@ import dataclasses
 import os
 import typing
 from functools import partial
-from importlib import resources
 from pathlib import Path
 
 from .core import ConfigurationError, SmoothnessProfile
@@ -468,7 +467,7 @@ def load_sweep(path: str | Path) -> SweepPlan:
 
 
 def packaged_preset_dir() -> Path:
-    return Path(resources.files("congo") / "presets")
+    return Path(__file__).parent / "presets"
 
 
 def preset_search_dirs() -> list[Path]:

@@ -397,6 +397,13 @@ def test_a_serial_run_never_imports_the_process_pool(tmp_path):
     assert modules_after_run(JACKSON, "multiprocessing,concurrent", tmp_path, "--jobs", "1") == "[]"
 
 
+@pytest.mark.parametrize("base", [QUADRATIC, JACKSON], ids=["quadratic", "jackson"])
+def test_a_plotted_run_loads_no_network_module(base, tmp_path):
+    # a run writes its plot by hand; at --jobs 1 nothing needs xml, http,
+    # email, ssl or socket (the process pool itself loads socket)
+    assert modules_after_run(base, "xml,http,email,ssl,socket", tmp_path, "--jobs", "1") == "[]"
+
+
 # a cut Jackson spec: two seeds of two optimizers, so --jobs 2 and 4 both fan out
 FAN_OUT = JACKSON.replace("seeds = 0", "seeds = 0-1").replace("optimizers = congo-e", "optimizers = congo-e nsgd")
 

@@ -227,10 +227,15 @@ def test_plot_is_wellformed_svg_with_a_full_legend(tmp_path):
     root = ET.parse(tmp_path / "plot.svg").getroot()
     ns = "{http://www.w3.org/2000/svg}"
     polylines = root.findall(f"{ns}polyline")
-    labels = [el.text for el in root.findall(f"{ns}text")]
+    texts = root.findall(f"{ns}text")
+    labels = [el.text for el in texts]
     assert len(polylines) == 5
-    for name in ("gd", "congo-e", "gdsp", "nsgd", "sgdsp"):
-        assert name in labels
+    # the legend labels are the only unanchored texts: one per optimizer, its bare name
+    legend = [el.text for el in texts if "text-anchor" not in el.attrib]
+    assert legend == ["congo-e", "gd", "gdsp", "nsgd", "sgdsp"]
+    # each label's swatch has its curve's colour
+    swatches = [el.get("stroke") for el in root.findall(f"{ns}line") if el.get("stroke-width") == "3"]
+    assert swatches == [el.get("stroke") for el in polylines]
     assert "round" in labels and "mean cumulative cost" in labels
     bands = [el for el in root.findall(f"{ns}polygon")]
     assert len(bands) == 5
@@ -240,7 +245,9 @@ def test_plot_single_optimizer(tmp_path):
     spec = quad_spec([opt("gd")], seeds=(0,), horizon=3)
     run_experiment(spec, output_dir=tmp_path)
     root = ET.parse(tmp_path / "plot.svg").getroot()
-    assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 1
+    ns = "{http://www.w3.org/2000/svg}"
+    assert len(root.findall(f"{ns}polyline")) == 1
+    assert [el.text for el in root.findall(f"{ns}text") if "text-anchor" not in el.attrib] == ["gd"]
 
 
 def test_spec_validation_errors():
