@@ -1,8 +1,10 @@
-"""Command-line exit codes, and the modules a run imports."""
+"""Command-line exit codes, the modules a run imports, and the README's examples."""
 
 import multiprocessing
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 
 from congo import cli
 from congo.cli import main
+from congo.scenario import PRESET_ENV_VAR, find_preset, load_spec, load_sweep, packaged_preset_dir
 
 JACKSON = """
 [experiment]
@@ -428,3 +431,51 @@ def test_sweep_rejects_no_plot(capsys):
         main(["sweep", "sweep-measurement-rows", "--no-plot"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --no-plot" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_commands():
+    """The lines of the sh block under the README's CLI heading, comments stripped."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_examples_run_and_write_what_the_readme_says(tmp_path, monkeypatch):
+    commands = readme_cli_commands()
+    packaged = {path.stem: path for path in packaged_preset_dir().glob("*.cfg")}
+    # the presets the block names, in order of appearance, copied at 2 rounds
+    # and 2 seeds into a user preset dir, which shadows the packaged ones
+    named = list(dict.fromkeys(w for c in commands for w in shlex.split(c) if w in packaged))
+    assert named
+    presets = tmp_path / "presets"
+    presets.mkdir()
+    for name in named:
+        text = packaged[name].read_text()
+        for key, value in (("rounds", "2"), ("seeds", "0-1")):
+            text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+            assert count == 1, (name, key)
+        (presets / f"{name}.cfg").write_text(text)
+    monkeypatch.setenv(PRESET_ENV_VAR, str(presets))
+    monkeypatch.chdir(tmp_path)
+    stand_in = shlex.quote(str(presets / f"{named[0]}.cfg"))
+    for command in commands:
+        command = command.replace("path/to/scenario.cfg", stand_in).replace("my-scenario.cfg", stand_in)
+        program, *argv = shlex.split(command)
+        assert program == "congo"
+        shutil.rmtree("results", ignore_errors=True)
+        assert main(argv) == 0, command
+        # run: raw.csv, aggregate.csv and plot.svg (unless --no-plot) in --out,
+        # default results/<name>; sweep: sweep.csv in results/<name>-sweep
+        if argv[0] == "run":
+            out = Path(argv[argv.index("--out") + 1]) if "--out" in argv \
+                else Path("results", load_spec(find_preset(argv[1])).name)
+            expected = ["aggregate.csv"] + ([] if "--no-plot" in argv else ["plot.svg"]) + ["raw.csv"]
+        elif argv[0] == "sweep":
+            out = Path("results", f"{load_sweep(find_preset(argv[1])).name}-sweep")
+            expected = ["sweep.csv"]
+        else:
+            continue
+        assert sorted(path.name for path in out.iterdir()) == expected, command

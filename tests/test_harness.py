@@ -1,6 +1,7 @@
 """Experiment runner, CSV artifacts, and the SVG plot."""
 
 import concurrent.futures
+import functools
 import multiprocessing
 import os
 import xml.etree.ElementTree as ET
@@ -17,7 +18,8 @@ from congo.harness import (
     run_experiment,
     run_sweep,
 )
-from congo.optimizers import ConstantRate, OptimizerConfig
+from congo.env_quadratic import QuadraticAdversary, QuadraticAdversaryConfig, smoothness_bounds
+from congo.optimizers import ConstantRate, OptimizerConfig, run_online
 from congo.sensing import ValueOracle, pointwise
 
 
@@ -149,14 +151,46 @@ def test_raw_csv_floats_round_trip_exactly(tmp_path):
         assert row[7] in ("0", "1")
 
 
-def test_rerun_is_byte_identical_across_thread_counts(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # 4 threads on any host
+def test_rerun_is_byte_identical_across_jobs(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # 4 worker processes on any host
     spec = quad_spec([opt("congo-e"), opt("congo-z")], seeds=(0, 1, 2))
     run_experiment(spec, output_dir=tmp_path / "serial", jobs=1, plot=False)
-    run_experiment(spec, output_dir=tmp_path / "threaded", jobs=4, plot=False)
+    run_experiment(spec, output_dir=tmp_path / "pooled", jobs=4, plot=False)
     serial = (tmp_path / "serial" / "raw.csv").read_bytes()
-    threaded = (tmp_path / "threaded" / "raw.csv").read_bytes()
-    assert serial == threaded
+    pooled = (tmp_path / "pooled" / "raw.csv").read_bytes()
+    assert serial == pooled
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_results_equal_the_online_records_bit_for_bit(monkeypatch, jobs):
+    # the acceptance battery reads its statistics from these arrays
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 starts a pool on any host
+    env_cfg = QuadraticAdversaryConfig(dimension=50, sparsity=5, radius=50.0)
+    optimizers = [
+        OptimizerConfig(name=name, schedule=ConstantRate(0.1), delta=1e-5, sparsity=5, m=24,
+                        smoothness=smoothness_bounds(50.0, 5))
+        for name in ("congo-e", "congo-b", "gdsp")
+    ]
+    spec = ExperimentSpec(
+        name="quad",
+        kind="quadratic",
+        make_environment=functools.partial(QuadraticAdversary, env_cfg),
+        optimizers=optimizers,
+        horizon=5,
+        seeds=(0, 1, 2),
+    )
+    table = run_experiment(spec, jobs=jobs, plot=False)
+    assert [(r.optimizer, r.seed) for r in table.runs] == [
+        (name, seed) for name in ("congo-b", "congo-e", "gdsp") for seed in (0, 1, 2)
+    ]
+    for run in table.runs:
+        cfg = next(c for c in optimizers if c.name == run.optimizer)
+        records = run_online(cfg, QuadraticAdversary(env_cfg), 5, run.seed)
+        assert all(r.grad_error is not None for r in records)
+        assert run.costs.tobytes() == np.array([r.cost for r in records]).tobytes()
+        assert run.grad_errors.tobytes() == np.array([r.grad_error for r in records]).tobytes()
+        assert run.queries.tobytes() == np.array([r.queries for r in records], dtype=int).tobytes()
+        assert run.clipped.tobytes() == np.array([r.clipped for r in records], dtype=bool).tobytes()
 
 
 # (--jobs, os.cpu_count(), seeds, pool sizes started): 3 optimizers per seed
