@@ -17,6 +17,17 @@ class MeasurementError(RuntimeError):
     """Raised when a function query comes back unusable (NaN/inf)."""
 
 
+def vector_norm(vector: np.ndarray) -> float:
+    """Euclidean norm of a contiguous float vector, as np.linalg.norm gives it.
+
+    np.linalg.norm computes sqrt(v.dot(v)) for a 1-D float vector, so this is
+    the same value to the bit without the wrapper's argument handling. The
+    vector must be contiguous: norm copies a strided one first, and a strided
+    dot product may sum in another order. tests/test_core.py pins the match.
+    """
+    return math.sqrt(vector.dot(vector))
+
+
 @dataclass(frozen=True)
 class Ball:
     """Euclidean ball {x : ||x - center|| <= radius}."""
@@ -34,7 +45,7 @@ class Ball:
 
     def project(self, point: np.ndarray) -> np.ndarray:
         offset = point - self.center
-        dist = float(np.linalg.norm(offset))
+        dist = vector_norm(offset)
         if dist <= self.radius:
             return point
         if self.radius == 0.0:
@@ -42,7 +53,7 @@ class Ball:
         return self.center + offset * (self.radius / dist)
 
     def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
-        return float(np.linalg.norm(point - self.center)) <= self.radius + tol
+        return vector_norm(point - self.center) <= self.radius + tol
 
 
 @dataclass(frozen=True)
@@ -59,14 +70,14 @@ class Box:
         object.__setattr__(self, "upper", upper)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ConfigurationError("box bounds must be vectors of equal length")
-        if np.any(lower > upper):
+        if (lower > upper).any():
             raise ConfigurationError("box lower bound exceeds upper bound")
 
     def project(self, point: np.ndarray) -> np.ndarray:
         return np.clip(point, self.lower, self.upper)
 
     def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
-        return bool(np.all(point >= self.lower - tol) and np.all(point <= self.upper + tol))
+        return bool((point >= self.lower - tol).all() and (point <= self.upper + tol).all())
 
 
 # Any feasible region used by the optimizers: needs project/contains.

@@ -359,7 +359,7 @@ class JacksonEnvironment:
     def incur(self, x: np.ndarray) -> float:
         """Mean latency of one fresh window plus resource_weight * sum(x); NaN if unstable."""
         obs = simulate_window(self.topology, self._rate, self._mix, x, self.sim_cfg, self._rng)
-        return obs.mean_latency + self.sim_cfg.resource_weight * float(np.sum(x))
+        return obs.mean_latency + self.sim_cfg.resource_weight * float(x.sum())
 
     def oracle(self) -> ValueOracle:
         """Latency only, one fresh window per query; gradient_offset carries the resource term.

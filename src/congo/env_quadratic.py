@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Ball, ConfigurationError, SmoothnessProfile, brent_root
+from .core import Ball, ConfigurationError, SmoothnessProfile, brent_root, vector_norm
 from .sensing import ValueOracle
 
 _ROUND_STREAM = 0
@@ -114,11 +114,13 @@ class QuadraticAdversary:
         self.functions = []
         self.current = None
         direction = self._round_rng.normal(size=self.cfg.dimension)
-        direction /= np.linalg.norm(direction)
+        direction /= vector_norm(direction)
         return direction * (START_FRACTION * self.cfg.radius)
 
     def begin_round(self, t: int) -> None:
-        assert self._round_rng is not None, "reset() must run before begin_round()"
+        # a raise, not an assert, so that python -O keeps the check
+        if self._round_rng is None:
+            raise RuntimeError("reset() must run before begin_round()")
         self.current = self._sample()
         self.functions.append(self.current)
 
@@ -198,11 +200,11 @@ def _minimize_diag_quadratic(
         return np.where(free, center, center - step)
 
     def excess(mu: float) -> float:
-        return float(np.linalg.norm(point(mu) - center)) - radius
+        return vector_norm(point(mu) - center) - radius
 
-    if np.all(diag[~free] > 0.0):
+    if (diag[~free] > 0.0).all():
         x0 = point(0.0)
-        if np.linalg.norm(x0 - center) <= radius:
+        if vector_norm(x0 - center) <= radius:
             return x0
         lo = 0.0
     else:

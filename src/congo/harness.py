@@ -9,6 +9,7 @@ reproduce byte-identical raw CSVs.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -208,19 +209,26 @@ def emit_csv(table: ResultTable, raw_path: str | Path, aggregate_path: str | Pat
     """
     lines = [",".join(RAW_COLUMNS)]
     for run in table.runs:
-        for t in range(table.horizon):
-            err = "" if np.isnan(run.grad_errors[t]) else _fmt(run.grad_errors[t])
+        # one tolist per array: formatting Python scalars, not a numpy scalar per cell
+        columns = zip(
+            run.costs.tolist(),
+            run.cum_costs.tolist(),
+            run.queries.tolist(),
+            run.grad_errors.tolist(),
+            run.clipped.tolist(),
+        )
+        for t, (cost, cum_cost, queries, err, clipped) in enumerate(columns, start=1):
+            err = "" if math.isnan(err) else _fmt(err)
             lines.append(
-                f"{run.optimizer},{run.seed},{t + 1},{_fmt(run.costs[t])},"
-                f"{_fmt(run.cum_costs[t])},{int(run.queries[t])},{err},"
-                f"{int(run.clipped[t])}"
+                f"{run.optimizer},{run.seed},{t},{_fmt(cost)},"
+                f"{_fmt(cum_cost)},{int(queries)},{err},{int(clipped)}"
             )
     Path(raw_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     agg_lines = [",".join(AGGREGATE_COLUMNS)]
     for name, (mean, std) in sorted(table.aggregate().items()):
-        for t in range(table.horizon):
-            agg_lines.append(f"{name},{t + 1},{_fmt(mean[t])},{_fmt(std[t])}")
+        for t, (mu, sd) in enumerate(zip(mean.tolist(), std.tolist()), start=1):
+            agg_lines.append(f"{name},{t},{_fmt(mu)},{_fmt(sd)}")
     Path(aggregate_path).write_text("\n".join(agg_lines) + "\n", encoding="utf-8")
 
 
@@ -260,9 +268,10 @@ _ML, _MR, _MT, _MB = 78, 24, 24, 56
 def emit_plot(table: ResultTable, path: str | Path) -> None:
     """Standalone SVG: mean cumulative cost per optimizer with a ±1 std band."""
     aggregate = table.aggregate()
-    rounds = np.arange(1, table.horizon + 1)
-    lo = min(float(np.min(mean - std)) for mean, std in aggregate.values())
-    hi = max(float(np.max(mean + std)) for mean, std in aggregate.values())
+    # Python ints and floats: the coordinate arithmetic below runs on Python scalars
+    rounds = list(range(1, table.horizon + 1))
+    lo = min(float((mean - std).min()) for mean, std in aggregate.values())
+    hi = max(float((mean + std).max()) for mean, std in aggregate.values())
     if hi <= lo:
         hi = lo + 1.0
     pad = 0.04 * (hi - lo)
@@ -311,13 +320,13 @@ def emit_plot(table: ResultTable, path: str | Path) -> None:
 
     for idx, (name, (mean, std)) in enumerate(sorted(aggregate.items())):
         color = _PALETTE[idx % len(_PALETTE)]
-        upper = [f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(rounds, mean + std)]
-        lower = [f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(rounds[::-1], (mean - std)[::-1])]
+        upper = [f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(rounds, (mean + std).tolist())]
+        lower = [f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(rounds[::-1], (mean - std)[::-1].tolist())]
         parts.append(
             f'<polygon points="{" ".join(upper + lower)}" fill="{color}" '
             f'fill-opacity="0.15" stroke="none"/>'
         )
-        line = [f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(rounds, mean)]
+        line = [f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(rounds, mean.tolist())]
         parts.append(
             f'<polyline points="{" ".join(line)}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )

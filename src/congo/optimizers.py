@@ -30,6 +30,7 @@ from .core import (
     MeasurementError,
     SmoothnessProfile,
     gd_update,
+    vector_norm,
 )
 from .recovery import basis_pursuit, cosamp, rescale
 from .sensing import (
@@ -211,7 +212,7 @@ def run_online(cfg: OptimizerConfig, env, horizon: int, seed: int) -> list[Round
             step_vector = step_vector + offset
         grad_error = _gradient_error(env, x, step_vector)
         if cfg.normalize_gradient:
-            norm = float(np.linalg.norm(step_vector))
+            norm = vector_norm(step_vector)
             if norm > 0.0:
                 step_vector = step_vector / norm
         x_next = gd_update(x, step_vector, cfg.schedule.rate(t), cset)
@@ -233,9 +234,9 @@ def postprocess(raw: np.ndarray | None, norm_cap: float, dim: int) -> GradientEs
     """
     if raw is not None:
         vector = np.asarray(raw, dtype=float)
-        if not np.all(np.isfinite(vector)):
+        if not np.isfinite(vector).all():
             log.warning("non-finite gradient estimate; clipping to zero")
-        elif float(np.linalg.norm(vector)) <= norm_cap:
+        elif vector_norm(vector) <= norm_cap:
             return GradientEstimate(vector)
     return GradientEstimate(np.zeros(dim), clipped=True)
 
@@ -272,4 +273,4 @@ def _gradient_error(env, x, step_vector) -> float | None:
     truth = env.exact_gradient(x)
     if truth is None:
         return None
-    return float(np.linalg.norm(step_vector - truth))
+    return vector_norm(step_vector - truth)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import brent_root
+from .core import brent_root, vector_norm
 
 
 # cosamp's target residual norm, and basis_pursuit's feasibility slack
@@ -22,7 +22,7 @@ MAX_ITERATIONS = 50
 
 def rescale(matrix: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale both the matrix and the measurements by 1/sqrt(m)."""
-    factor = 1.0 / np.sqrt(matrix.shape[0])
+    factor = 1.0 / math.sqrt(matrix.shape[0])
     return matrix * factor, values * factor
 
 
@@ -98,7 +98,7 @@ def _pursuit(
 
 
 def _largest(vector: np.ndarray, count: int) -> np.ndarray:
-    return np.argpartition(np.abs(vector), -count)[-count:]
+    return np.abs(vector).argpartition(-count)[-count:]
 
 
 def basis_pursuit(
@@ -119,7 +119,8 @@ def basis_pursuit(
     if gap > noise_level + TOLERANCE:
         return None
 
-    op_norm = float(np.linalg.norm(matrix, 2))
+    # np.linalg.norm(matrix, 2) is the largest singular value: svd's first
+    op_norm = float(np.linalg.svd(matrix, compute_uv=False)[0])
     if op_norm == 0.0:
         # A z is identically zero; z = 0 is the l1 minimizer of the feasible set
         return np.zeros(d)
@@ -161,14 +162,14 @@ def basis_pursuit(
     ):
         if candidate is None:
             continue
-        if float(np.linalg.norm(values - matrix @ candidate)) > noise_level + TOLERANCE:
+        if vector_norm(values - matrix @ candidate) > noise_level + TOLERANCE:
             continue
-        if float(np.linalg.norm(candidate)) > norm_cap + TOLERANCE:
+        if vector_norm(candidate) > norm_cap + TOLERANCE:
             continue
         candidates.append(candidate)
     if not candidates:
         return None
-    return min(candidates, key=lambda c: float(np.sum(np.abs(c))))
+    return min(candidates, key=lambda c: float(np.abs(c).sum()))
 
 
 def _polish(matrix, values, z) -> np.ndarray:
@@ -200,8 +201,8 @@ def _debias(matrix, values, z) -> np.ndarray | None:
 def _min_residual_on_cap(matrix, values, norm_cap) -> tuple[float, np.ndarray | None]:
     """Exact min of ||A z - y|| over ||z|| <= norm_cap, via the ridge path."""
     min_norm, *_ = np.linalg.lstsq(matrix, values, rcond=None)
-    if float(np.linalg.norm(min_norm)) <= norm_cap:
-        return float(np.linalg.norm(values - matrix @ min_norm)), min_norm
+    if vector_norm(min_norm) <= norm_cap:
+        return vector_norm(values - matrix @ min_norm), min_norm
     u, sing, vt = np.linalg.svd(matrix, full_matrices=False)
     coeff = u.T @ values
 
@@ -212,17 +213,17 @@ def _min_residual_on_cap(matrix, values, norm_cap) -> tuple[float, np.ndarray | 
         return np.divide(sing * coeff, denom, out=np.zeros_like(denom), where=denom > 0)
 
     def excess(lam: float) -> float:
-        return float(np.linalg.norm(weights(lam))) - norm_cap
+        return vector_norm(weights(lam)) - norm_cap
 
     if norm_cap == 0.0:
-        return float(np.linalg.norm(values)), np.zeros(matrix.shape[1])
+        return vector_norm(values), np.zeros(matrix.shape[1])
     hi = 1.0
     while excess(hi) > 0.0:
         hi *= 10.0
         if hi > 1e18:  # pragma: no cover - pathological scaling
-            return float(np.linalg.norm(values)), None
+            return vector_norm(values), None
     z = vt.T @ weights(brent_root(excess, 0.0, hi))
-    return float(np.linalg.norm(values - matrix @ z)), z
+    return vector_norm(values - matrix @ z), z
 
 
 def _soft_threshold(vector: np.ndarray, amount: float) -> np.ndarray:

@@ -41,11 +41,18 @@ class ValueOracle:
         points count.
         """
         values = np.asarray(self._evaluate(points), dtype=float)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            self.queries += int(bad[0]) + 1
-            raise MeasurementError(f"oracle returned a non-finite value at batch row {bad[0]}")
-        assert values.shape == (points.shape[0],), "evaluator stopped before a non-finite value"
+        finite = np.isfinite(values)
+        if not finite.all():
+            # argmin of a boolean array: the first False
+            bad = int(finite.argmin())
+            self.queries += bad + 1
+            raise MeasurementError(f"oracle returned a non-finite value at batch row {bad}")
+        # a raise, not an assert, so that python -O keeps the check
+        if values.shape != (points.shape[0],):
+            raise RuntimeError(
+                f"evaluator returned {values.shape} values for {points.shape[0]} points"
+                " without a non-finite value"
+            )
         self.queries += points.shape[0]
         return values
 
@@ -73,7 +80,8 @@ def draw_matrix(m: int, d: int, distribution: str, rng: np.random.Generator) -> 
     """
     entries = _draw_rows(m, d, distribution, rng)
     for _ in range(_MAX_REDRAWS):
-        bad = np.linalg.norm(entries, axis=1) == 0.0
+        # a row's norm is zero exactly when its sum of squares is: no square root needed
+        bad = (entries * entries).sum(axis=1) == 0.0
         if not bad.any():
             break
         log.debug("redrawing %d zero measurement rows", int(bad.sum()))
@@ -95,7 +103,7 @@ def forward_differences(
     The batch is x followed by the probe points, so it costs len(steps) + 1
     queries.
     """
-    values = oracle(np.vstack([x, x + steps[:, None] * directions]))
+    values = oracle(np.concatenate([x[None], x + steps[:, None] * directions]))
     return values[1:] - values[0]
 
 
@@ -108,7 +116,7 @@ def measure_single_row(
     entry satisfies |y_i - <grad f(x), a_i>| <= (L/2) delta with L the Hessian
     norm bound.
     """
-    norms_sq = np.sum(matrix**2, axis=1)
+    norms_sq = (matrix**2).sum(axis=1)
     return forward_differences(oracle, x, matrix, delta / norms_sq) * norms_sq / delta
 
 

@@ -197,17 +197,17 @@ def test_criterion_06_sublinear_regret(criterion_report):
     """Regret against the hindsight optimum grows sublinearly in the horizon."""
     t0 = time.perf_counter()
     d, s, R = 50, 5, 50.0
-    prof = smoothness_bounds(R, s)
     means = {}
     for T in (100, 400, 1600):
         regrets = []
-        for seed in range(20):
+        for run in run_quadratic("congo-e", range(20), T=T, d=d, s=s, R=R, lr=1 / np.sqrt(T)):
+            # the round stream depends on the seed alone: replay it for the reference
             env = QuadraticAdversary(QuadraticAdversaryConfig(dimension=d, sparsity=s, radius=R))
-            cfg = OptimizerConfig(name="congo-e", schedule=ConstantRate(1.0 / np.sqrt(T)),
-                                  delta=1e-5, sparsity=s, m=24, smoothness=prof)
-            records = run_online(cfg, env, T, seed)
+            env.reset(run.seed)
+            for t in range(1, T + 1):
+                env.begin_round(t)
             _, best = hindsight_optimum(env.functions, env.constraint_set)
-            regrets.append(float(np.sum([r.cost for r in records])) - best)
+            regrets.append(float(np.sum(run.costs)) - best)
         means[T] = float(np.mean(regrets))
     slope = float(np.polyfit(np.log(list(means)), np.log(list(means.values())), 1)[0])
     elapsed = time.perf_counter() - t0

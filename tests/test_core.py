@@ -1,4 +1,4 @@
-"""Feasible sets, the projected-step primitive, and the root-finder."""
+"""Feasible sets, the projected-step primitive, the root-finder and the reduction helpers."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congo import env_quadratic, recovery
+from congo import env_quadratic, harness, recovery
 from congo.core import (
     Ball,
     Box,
@@ -16,6 +16,7 @@ from congo.core import (
     SmoothnessProfile,
     brent_root,
     gd_update,
+    vector_norm,
 )
 
 
@@ -165,3 +166,75 @@ def test_brent_root_errors_match_scipy_brentq():
             brentq(*case)
         with pytest.raises(error):
             brent_root(*case)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _special_vectors(n):
+    """Zeros, overflowing and underflowing squares, and mixed magnitudes, all of length n."""
+    return [
+        np.zeros(n),
+        np.full(n, 1e-170),  # every square underflows to 0
+        np.full(n, 1e200),  # every square overflows to inf
+        np.full(n, 1e154),  # squares just below the overflow threshold
+        np.where(np.arange(n) % 2 == 0, 1e-160, 3.0),
+        np.where(np.arange(n) % 3 == 0, -1e150, 1e-300),
+    ]
+
+
+@np.errstate(over="ignore")  # the 1e200 rows overflow on purpose
+def test_reduction_helpers_are_bit_equal_to_the_numpy_calls_they_replace():
+    """Each cheaper reduction on the round path gives numpy's public call, to the bit.
+
+    The sizes are the ones the runs produce: d = 10 to 100 coordinates, m = 1
+    to 36 rows, probe batches of up to d + 1 points. A numpy release that
+    changes np.linalg.norm's kernel, or svd's ordering, fails this test.
+    """
+    rng = np.random.default_rng(0)
+
+    # vector_norm == np.linalg.norm on contiguous vectors
+    for n in range(1, 129):
+        vectors = [rng.normal(size=n), rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)]
+        for v in vectors + _special_vectors(n):
+            assert _bits(vector_norm(v)) == _bits(np.linalg.norm(v)), (n, v[:3])
+    assert vector_norm(np.full(50, 1e-170)) == 0.0
+    assert vector_norm(np.full(50, 1e200)) == math.inf
+
+    # svd(A)[0] == norm(A, 2), on raw and rescaled measurement matrices
+    for d in (10, 20, 50, 100):
+        for m in range(1, 37):
+            matrix = rng.normal(size=(m, d))
+            for a in (matrix, matrix * (1.0 / math.sqrt(m)), np.zeros((m, d))):
+                assert _bits(np.linalg.svd(a, compute_uv=False)[0]) == _bits(np.linalg.norm(a, 2))
+
+    # draw_matrix's zero-row test: (E * E).sum(axis=1) == 0.0 against norm(E, axis=1) == 0.0
+    for d in (10, 50, 100):
+        rows = [rng.normal(size=d), rng.integers(0, 2, size=d) * 2.0 - 1.0, *_special_vectors(d)]
+        entries = np.stack(rows + [rng.normal(size=d) for _ in range(24)])
+        squares = (entries * entries).sum(axis=1)
+        norms = np.linalg.norm(entries, axis=1)
+        assert _bits(np.sqrt(squares)) == _bits(norms)
+        assert np.array_equal(squares == 0.0, norms == 0.0)
+        assert (squares == 0.0).tolist()[1:4] == [False, True, True]  # zeros and 1e-170 read as zero
+
+    # forward_differences' batch, rescale's factor, and the array-method reductions
+    for d in (10, 50, 100):
+        x = rng.normal(size=d)
+        probes = x + rng.uniform(1e-6, 1e-3, size=(d + 1, 1)) * rng.normal(size=(d + 1, d))
+        assert _bits(np.concatenate([x[None], probes])) == _bits(np.vstack([x, probes]))
+        v = rng.normal(size=d)
+        for count in (1, 5, 10, d):
+            assert np.array_equal(np.abs(v).argpartition(-count), np.argpartition(np.abs(v), -count))
+        assert _bits(np.abs(v).sum()) == _bits(np.sum(np.abs(v)))
+        assert _bits((probes**2).sum(axis=1)) == _bits(np.sum(probes**2, axis=1))
+    for m in range(1, 201):
+        assert _bits(1.0 / math.sqrt(m)) == _bits(1.0 / np.sqrt(m))
+
+    # the writers format Python scalars from tolist(), as they formatted numpy scalars
+    values = np.concatenate([rng.normal(size=200) * 10.0 ** rng.uniform(-300, 300, size=200),
+                             [0.0, -0.0, 1e-320, math.inf, -math.inf, math.nan]])
+    for scalar, item in zip(values, values.tolist()):
+        assert harness._fmt(scalar) == harness._fmt(item)
+        assert f"{scalar:.2f}" == f"{item:.2f}"

@@ -46,6 +46,12 @@ def test_reset_replays_the_same_rounds():
         assert env1.current.constant == env2.current.constant
 
 
+def test_begin_round_before_reset_raises():
+    """A raise, not an assert, so that python -O keeps the check."""
+    with pytest.raises(RuntimeError, match=r"reset\(\) must run before begin_round\(\)"):
+        make_env().begin_round(1)
+
+
 def test_different_seeds_differ():
     env1, env2 = make_env(), make_env()
     x1, x2 = env1.reset(0), env2.reset(1)

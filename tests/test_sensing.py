@@ -47,6 +47,15 @@ def test_value_oracle_stops_at_the_first_non_finite_value():
         assert seen == evaluated
 
 
+def test_value_oracle_rejects_a_short_batch_without_a_non_finite_value():
+    """A raise, not an assert: python -O keeps the check, and no point is counted."""
+    oracle = ValueOracle(lambda points: points.sum(axis=1)[:-1])
+    with pytest.raises(RuntimeError, match="without a non-finite value") as caught:
+        oracle(np.ones((4, 3)))
+    assert not isinstance(caught.value, MeasurementError)
+    assert oracle.queries == 0
+
+
 def test_draw_matrix_shapes_and_distributions():
     rng = np.random.default_rng(0)
     gauss = draw_matrix(4, 7, "gaussian", rng)
