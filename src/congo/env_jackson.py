@@ -220,23 +220,26 @@ def simulate_window(
     completes its full route during the next measure_seconds contributes its
     end-to-end sojourn. Zero such departures marks the window unstable.
 
-    Service times come from one block of standard exponentials, one per route
-    visit of the window's jobs, scaled by the queue's mean service time when a
-    service starts. Afterwards the generator is rewound and advanced by exactly
-    the draws used, so it ends where one rng.exponential call per service start
-    would leave it, and the window's values are the same bit for bit.
+    Events run in time order: an arrival at the same instant as a completion
+    is admitted first, and completions at the same instant go in queue order
+    (continuous draws make such ties a probability-zero event). An arriving
+    and a routed job join their next queue alike, before the queue that a
+    completion freed starts its next job. The i-th service to start takes the
+    i-th of one block of standard exponentials, one per route visit of the
+    window's jobs, scaled by its queue's mean service time. Afterwards the
+    generator is rewound and advanced by exactly the draws used, so it ends
+    where one rng.exponential call per service start would leave it, and the
+    window's values are the same bit for bit.
     """
     names = topology.job_names
     # probes step outside the box, so near a lower_bound of 0 a probed
     # allocation can be negative; its queue then serves at the floor rate
     service_rate = np.maximum(allocation, 0.0) + SERVICE_RATE_FLOOR
-    mean_service = 1.0 / service_rate
+    mean_service = (1.0 / service_rate).tolist()
     horizon = sim_cfg.warmup_seconds + sim_cfg.measure_seconds
 
     arrivals = _poisson_arrivals(rate, horizon, rng)
     n = arrivals.shape[0]
-    if n == 0:
-        return LatencyObservation(mean_latency=float("nan"), departures=0)
     probs = np.array([mix.get(name, 0.0) for name in names])
     routes = [topology.routes[name] for name in names]
     job_route = [routes[k] for k in rng.choice(len(names), size=n, p=probs).tolist()]
@@ -248,14 +251,15 @@ def simulate_window(
     used = 0
 
     arrival_times = arrivals.tolist()
-    mean_service = mean_service.tolist()
+    arrival_times.append(math.inf)  # the sentinel after the last arrival
     entry = ENTRY_QUEUE
     stage = [0] * n
     waiting = [deque() for _ in range(topology.num_queues)]
     in_service = [-1] * topology.num_queues
-    heap: list[tuple[float, int, int]] = []
+    # (completion time, queue): a queue has at most one pending completion.
+    # Every real completion is finite, so the sentinel is never popped.
+    heap: list[tuple[float, int]] = [(math.inf, -1)]
     heappush, heappop = heapq.heappush, heapq.heappop
-    seq = 0
     next_arrival = 0
     arrival_time = arrival_times[0]
     measure_start = sim_cfg.warmup_seconds
@@ -263,48 +267,44 @@ def simulate_window(
     departures = 0
 
     while True:
-        completion_time = heap[0][0] if heap else math.inf
-        if arrival_time <= completion_time:  # ties: arrivals join before services finish
-            if arrival_time > horizon:
+        if arrival_time <= heap[0][0]:  # ties: arrivals join before services finish
+            now = arrival_time
+            if now > horizon:
                 break
             job = next_arrival
+            target = entry
+            freed = -1
             next_arrival += 1
-            if in_service[entry] < 0:
-                in_service[entry] = job
-                seq += 1
-                heappush(heap, (arrival_time + draws[used] * mean_service[entry], seq, entry))
-                used += 1
-            else:
-                waiting[entry].append(job)
-            arrival_time = arrival_times[next_arrival] if next_arrival < n else math.inf
+            arrival_time = arrival_times[next_arrival]
         else:
-            if completion_time > horizon:
+            now, freed = heappop(heap)
+            if now > horizon:
                 break
-            now, _, queue = heappop(heap)
-            job = in_service[queue]
+            job = in_service[freed]
             visits = stage[job] + 1
             stage[job] = visits
             route = job_route[job]
-            if visits == len(route):
+            if visits < len(route):
+                target = route[visits]  # never the freed queue: Topology rejects repeats in a row
+            else:
+                target = -1
                 if now >= measure_start:
                     total_sojourn += now - arrival_times[job]
                     departures += 1
-            else:
-                target = route[visits]  # never queue: Topology rejects repeats in a row
-                if in_service[target] < 0:
-                    in_service[target] = job
-                    seq += 1
-                    heappush(heap, (now + draws[used] * mean_service[target], seq, target))
-                    used += 1
-                else:
-                    waiting[target].append(job)
-            if waiting[queue]:
-                in_service[queue] = waiting[queue].popleft()
-                seq += 1
-                heappush(heap, (now + draws[used] * mean_service[queue], seq, queue))
+        if target >= 0:  # the job joins its next queue
+            if in_service[target] < 0:
+                in_service[target] = job
+                heappush(heap, (now + draws[used] * mean_service[target], target))
                 used += 1
             else:
-                in_service[queue] = -1
+                waiting[target].append(job)
+        if freed >= 0:  # then the freed queue takes its next job
+            if waiting[freed]:
+                in_service[freed] = waiting[freed].popleft()
+                heappush(heap, (now + draws[used] * mean_service[freed], freed))
+                used += 1
+            else:
+                in_service[freed] = -1
 
     rng.bit_generator.state = saved_state
     rng.standard_exponential(used)
@@ -356,10 +356,14 @@ class JacksonEnvironment:
     def begin_round(self, t: int) -> None:
         self._rate, self._mix = self.schedule.at(t)
 
+    def _latency(self, x: np.ndarray) -> float:
+        """Mean latency of one fresh window under the current round's workload."""
+        obs = simulate_window(self.topology, self._rate, self._mix, x, self.sim_cfg, self._rng)
+        return obs.mean_latency
+
     def incur(self, x: np.ndarray) -> float:
         """Mean latency of one fresh window plus resource_weight * sum(x); NaN if unstable."""
-        obs = simulate_window(self.topology, self._rate, self._mix, x, self.sim_cfg, self._rng)
-        return obs.mean_latency + self.sim_cfg.resource_weight * float(x.sum())
+        return self._latency(x) + self.sim_cfg.resource_weight * float(x.sum())
 
     def oracle(self) -> ValueOracle:
         """Latency only, one fresh window per query; gradient_offset carries the resource term.
@@ -368,13 +372,7 @@ class JacksonEnvironment:
         finite differences carry full window-to-window noise: the noise level
         the estimator comparison is about.
         """
-        rate, mix = self._rate, self._mix
-
-        def latency(x: np.ndarray) -> float:
-            obs = simulate_window(self.topology, rate, mix, x, self.sim_cfg, self._rng)
-            return obs.mean_latency
-
-        return ValueOracle(pointwise(latency))
+        return ValueOracle(pointwise(self._latency))
 
     def gradient_offset(self) -> np.ndarray:
         return np.full(self.dim, self.sim_cfg.resource_weight)
