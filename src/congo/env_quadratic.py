@@ -87,12 +87,24 @@ def smoothness_bounds(radius: float, sparsity: int) -> SmoothnessProfile:
 
 
 class QuadraticAdversary:
-    """Round-indexed stream of sparse quadratics, seeded and replayable."""
+    """Round-indexed stream of sparse quadratics, seeded and replayable.
+
+    The adversary keeps the start point and the functions drawn for the last
+    seed it was reset to, so runs that reset it to that seed again (the other
+    optimizers of a seed, in harness.run_experiment) replay them instead of
+    drawing them again. The round stream is a pure function of the seed, so
+    a replay is the same functions, bit for bit.
+    """
 
     def __init__(self, cfg: QuadraticAdversaryConfig):
         self.cfg = cfg
         self.constraint_set = Ball(center=np.zeros(cfg.dimension), radius=cfg.radius)
+        # the functions of the rounds begun since the last reset
         self.functions: list[QuadraticFunction] = []
+        self._seed: int | None = None
+        self._start: np.ndarray | None = None
+        # every function drawn for _seed so far, in round order
+        self._stream: list[QuadraticFunction] = []
         self._round_rng: np.random.Generator | None = None
         self._noise_rng: np.random.Generator | None = None
         self.current: QuadraticFunction | None = None
@@ -107,21 +119,31 @@ class QuadraticAdversary:
         The start is drawn uniformly from the sphere at START_FRACTION of
         the radius, so every run opens far from the optimum; it comes from the
         round stream, so all optimizers sharing a seed start from the same
-        point and see the same functions.
+        point and see the same functions. A reset to the seed drawn last
+        replays its start and functions; the noise stream starts afresh on
+        every reset.
         """
-        self._round_rng = np.random.default_rng([seed, _ROUND_STREAM])
         self._noise_rng = np.random.default_rng([seed, _NOISE_STREAM])
         self.functions = []
         self.current = None
-        direction = self._round_rng.normal(size=self.cfg.dimension)
-        direction /= vector_norm(direction)
-        return direction * (START_FRACTION * self.cfg.radius)
+        if seed != self._seed:
+            self._seed = seed
+            self._round_rng = np.random.default_rng([seed, _ROUND_STREAM])
+            self._stream = []
+            direction = self._round_rng.normal(size=self.cfg.dimension)
+            direction /= vector_norm(direction)
+            self._start = direction * (START_FRACTION * self.cfg.radius)
+        return self._start.copy()
 
     def begin_round(self, t: int) -> None:
         # a raise, not an assert, so that python -O keeps the check
         if self._round_rng is None:
             raise RuntimeError("reset() must run before begin_round()")
-        self.current = self._sample()
+        played = len(self.functions)
+        if played == len(self._stream):
+            # past the end of the stream drawn so far: the round rng sits there
+            self._stream.append(self._sample())
+        self.current = self._stream[played]
         self.functions.append(self.current)
 
     def _sample(self) -> QuadraticFunction:

@@ -54,6 +54,8 @@ class ExperimentSpec:
         names = [cfg.name for cfg in self.optimizers]
         if len(set(names)) != len(names):
             raise ConfigurationError("[experiment] optimizers: duplicate optimizer name")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError("[experiment] seeds: the list has duplicates")
 
 
 @dataclass
@@ -114,16 +116,21 @@ def run_experiment(
     written. With output_dir set, writes raw.csv + aggregate.csv (+ plot.svg
     unless plot is False) into it. Runs fan out over min(jobs, os.cpu_count(),
     number of runs) forked worker processes. Each worker inherits the spec
-    from the fork, so the spec is never pickled, and builds its own
-    environment per run; only task indices go out and RunResults come back.
+    from the fork, so the spec is never pickled; only task indices go out and
+    RunResults come back. Every process plays its runs on one environment,
+    built once here and inherited by each worker. Tasks go out seed-major, so
+    the optimizers of a seed follow each other and a quadratic adversary
+    replays the seed's functions instead of drawing them again. Results are
+    sorted by (optimizer, seed) whatever order they finished in.
     """
     spec.validate()
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(cfg, seed) for cfg in spec.optimizers for seed in spec.seeds]
+    tasks = [(cfg, seed) for seed in spec.seeds for cfg in spec.optimizers]
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    env = spec.make_environment()
     if workers == 1:
-        results = [_play(spec, cfg, seed) for cfg, seed in tasks]
+        results = [_play(spec, env, cfg, seed) for cfg, seed in tasks]
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -134,7 +141,7 @@ def run_experiment(
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_inherit,
-            initargs=(spec, tasks),
+            initargs=(spec, tasks, env),
         ) as pool:
             results = list(pool.map(_play_task, range(len(tasks))))
     table = ResultTable(horizon=spec.horizon, runs=sorted(results, key=lambda r: (r.optimizer, r.seed)))
@@ -147,9 +154,13 @@ def run_experiment(
     return table
 
 
-def _play(spec: ExperimentSpec, cfg: OptimizerConfig, seed: int) -> RunResult:
-    """One optimizer/seed run on a fresh environment, flattened into arrays."""
-    records = run_online(cfg, spec.make_environment(), spec.horizon, seed)
+def _play(spec: ExperimentSpec, env, cfg: OptimizerConfig, seed: int) -> RunResult:
+    """One optimizer/seed run, flattened into arrays.
+
+    env is the process's one environment; run_online resets it to the seed,
+    and an environment's reset leaves nothing of an earlier run behind.
+    """
+    records = run_online(cfg, env, spec.horizon, seed)
     costs = np.array([r.cost for r in records])
     return RunResult(
         optimizer=cfg.name,
@@ -164,19 +175,19 @@ def _play(spec: ExperimentSpec, cfg: OptimizerConfig, seed: int) -> RunResult:
     )
 
 
-# the spec and task list a forked worker inherited from run_experiment
-_inherited: tuple[ExperimentSpec, list[tuple[OptimizerConfig, int]]] | None = None
+# the spec, task list and environment a forked worker inherited from run_experiment
+_inherited: tuple[ExperimentSpec, list[tuple[OptimizerConfig, int]], object] | None = None
 
 
-def _inherit(spec: ExperimentSpec, tasks: list[tuple[OptimizerConfig, int]]) -> None:
+def _inherit(spec: ExperimentSpec, tasks: list[tuple[OptimizerConfig, int]], env) -> None:
     global _inherited
-    _inherited = (spec, tasks)
+    _inherited = (spec, tasks, env)
 
 
 def _play_task(index: int) -> RunResult:
-    spec, tasks = _inherited
+    spec, tasks, env = _inherited
     cfg, seed = tasks[index]
-    return _play(spec, cfg, seed)
+    return _play(spec, env, cfg, seed)
 
 
 def run_sweep(

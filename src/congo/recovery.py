@@ -40,17 +40,19 @@ def cosamp(matrix: np.ndarray, values: np.ndarray, sparsity: int) -> np.ndarray:
     first selection. Flat-magnitude signals near the sample floor trap the
     greedy loop in stable wrong supports; the restarts escape most of them.
     The result with the smallest residual wins, so a run that already sits at
-    its noise floor is never made worse.
+    its noise floor is never made worse. The pursuit and its restarts share
+    one table of least-squares solves, so each column sequence is solved once.
     """
     d = matrix.shape[1]
-    x, resid_norm = _pursuit(matrix, values, sparsity, frozenset())
+    solves: dict[tuple[int, ...], np.ndarray] = {}
+    x, resid_norm = _pursuit(matrix, values, sparsity, frozenset(), solves)
     taboo: set[int] = set()
     restarts = 0
     while resid_norm > TOLERANCE and restarts < 2:
         taboo.update(np.flatnonzero(x).tolist())
         if len(taboo) >= d - sparsity:
             break
-        retry, retry_norm = _pursuit(matrix, values, sparsity, frozenset(taboo))
+        retry, retry_norm = _pursuit(matrix, values, sparsity, frozenset(taboo), solves)
         if retry_norm < resid_norm:
             x, resid_norm = retry, retry_norm
         restarts += 1
@@ -58,8 +60,14 @@ def cosamp(matrix: np.ndarray, values: np.ndarray, sparsity: int) -> np.ndarray:
 
 
 def _pursuit(
-    matrix: np.ndarray, values: np.ndarray, s: int, taboo: frozenset[int]
+    matrix: np.ndarray,
+    values: np.ndarray,
+    s: int,
+    taboo: frozenset[int],
+    solves: dict[tuple[int, ...], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float]:
+    if solves is None:
+        solves = {}
     m, d = matrix.shape
     x = np.zeros(d)
     residual = values.copy()
@@ -79,15 +87,13 @@ def _pursuit(
         in_merged[_largest(proxy, min(2 * s, d))] = True
         merged = np.flatnonzero(in_merged)
         # minimum-norm least squares keeps rank-deficient supports from blowing up
-        coef, *_ = np.linalg.lstsq(matrix[:, merged], values, rcond=None)
         candidate = np.zeros(d)
-        candidate[merged] = coef
+        candidate[merged] = _solve(matrix, values, merged, solves)
         keep = _largest(candidate, min(s, d))
         # refit on the pruned support: truncated merged-support coefficients
         # otherwise leave a bias that stalls recovery near the sample floor
-        refit, *_ = np.linalg.lstsq(matrix[:, keep], values, rcond=None)
         x = np.zeros(d)
-        x[keep] = refit
+        x[keep] = _solve(matrix, values, keep, solves)
         residual = values - matrix @ x
         new_norm = math.sqrt(residual.dot(residual))
         stalled = stalled + 1 if new_norm >= resid_norm else 0
@@ -95,6 +101,20 @@ def _pursuit(
         if stalled >= 3:
             break
     return x, resid_norm
+
+
+def _solve(matrix, values, cols, solves) -> np.ndarray:
+    """lstsq on matrix[:, cols], once per exact column sequence in solves.
+
+    The solve depends on nothing but the columns in their order, so a repeated
+    sequence (common below the recovery threshold, where the loop and its
+    restarts revisit supports) reuses the stored coefficients.
+    """
+    key = tuple(cols.tolist())
+    coef = solves.get(key)
+    if coef is None:
+        coef = solves[key] = np.linalg.lstsq(matrix[:, cols], values, rcond=None)[0]
+    return coef
 
 
 def _largest(vector: np.ndarray, count: int) -> np.ndarray:
@@ -126,29 +146,35 @@ def basis_pursuit(
         return np.zeros(d)
 
     step = 1.0 / op_norm
-    matrix_t = matrix.T
+    # bound once: the same gemv as matrix @ v and matrix.T @ v, without the
+    # operator dispatch and the transposed view on every step
+    forward = matrix.dot
+    adjoint = matrix.T.dot
     z = np.zeros(d)
     z_bar = np.zeros(d)
     dual = np.zeros(m)
     # no early exit on iterate stall: successive primal iterates move slowly
     # from the first step, so a stall test would fire before convergence.
     # Each iteration projects onto two balls; sqrt(v.dot(v)) is what
-    # np.linalg.norm computes for a contiguous vector, to the bit.
+    # np.linalg.norm computes for a contiguous vector, to the bit. Scalar
+    # products are written array-first (v * step): the product is the same,
+    # and the array's multiply runs without float.__mul__ returning
+    # NotImplemented first.
     for _ in range(MAX_ITERATIONS):
-        ahead = dual + step * (matrix @ z_bar)
+        ahead = dual + forward(z_bar) * step
         point = ahead / step
         offset = point - values
         dist = math.sqrt(offset.dot(offset))
         if not dist <= noise_level:
             point = values if noise_level == 0.0 else values + offset * (noise_level / dist)
-        dual = ahead - step * point
+        dual = ahead - point * step
         z_prev = z
-        z = _soft_threshold(z - step * (matrix_t @ dual), step)
+        z = _soft_threshold(z - adjoint(dual) * step, step)
         dist = math.sqrt(z.dot(z))
         if not dist <= norm_cap:
             # centre 0 + scaled offset: + 0.0 makes every zero entry +0.0
             z = np.zeros(d) if norm_cap == 0.0 else z * (norm_cap / dist) + 0.0
-        z_bar = 2.0 * z - z_prev
+        z_bar = z * 2.0 - z_prev
 
     # The loop budget is small, so finish by pushing a few cheap candidates onto
     # the feasible set and keep whichever one has the smallest l1 norm.

@@ -389,3 +389,21 @@ def test_simulate_window_matches_the_per_event_reference(case):
         assert obs.departures == departures
         assert np.array_equal(obs.mean_latency, latency, equal_nan=True)
         assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_a_reused_environment_plays_like_fresh_ones():
+    schedule = VariableRateWorkload(segments=((1, 1, 1.5), (2, 3, 2.5)), mix=ONE_JOB)
+
+    def latencies(env, seed):
+        x = env.reset(seed)
+        out = []
+        for t in range(1, 4):
+            env.begin_round(t)
+            out.append(env.incur(x))
+            out.extend(env.oracle()(np.stack([x, x + 1.0])).tolist())
+        return np.array(out).tobytes()  # bytes: an unstable NaN window compares equal
+
+    reused = JacksonEnvironment(TANDEM, schedule, quick_cfg())
+    for seed in (0, 1, 0):
+        fresh = latencies(JacksonEnvironment(TANDEM, schedule, quick_cfg()), seed)
+        assert latencies(reused, seed) == fresh

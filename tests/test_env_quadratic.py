@@ -46,6 +46,31 @@ def test_reset_replays_the_same_rounds():
         assert env1.current.constant == env2.current.constant
 
 
+def _play_rounds(env, seed, rounds, probes):
+    """The start, each round's function and noisy values at probes, as bytes."""
+    start = env.reset(seed)
+    out = [start.tobytes()]
+    start[:] = np.nan  # a caller's edit must not reach a replayed start
+    for t in range(1, rounds + 1):
+        env.begin_round(t)
+        f = env.current
+        out += [f.diag.tobytes(), f.linear.tobytes(), f.constant, env.oracle()(probes).tobytes()]
+    out += [(f.diag.tobytes(), f.linear.tobytes(), f.constant) for f in env.functions]
+    return out
+
+
+def test_a_reused_adversary_plays_like_fresh_ones():
+    # seeds 0, 1, 0 on one adversary, then seed 0 again past the four kept
+    # rounds, so the last run both replays and draws
+    probes = np.linspace(-1.0, 1.0, 60).reshape(3, 20)
+    reused = make_env(noise_sigma=0.1)
+    for seed, rounds in ((0, 4), (1, 3), (0, 4), (0, 7)):
+        assert _play_rounds(reused, seed, rounds, probes) == _play_rounds(
+            make_env(noise_sigma=0.1), seed, rounds, probes
+        )
+        assert len(reused.functions) == rounds
+
+
 def test_begin_round_before_reset_raises():
     """A raise, not an assert, so that python -O keeps the check."""
     with pytest.raises(RuntimeError, match=r"reset\(\) must run before begin_round\(\)"):

@@ -297,6 +297,35 @@ def test_spec_validation_errors():
         run_experiment(quad_spec([opt("gd")]), jobs=0)
 
 
+def test_duplicate_seeds_are_rejected(tmp_path):
+    # one seed twice would write duplicate raw.csv rows and weigh it twice in aggregate.csv
+    spec = quad_spec([opt("gd")], seeds=(0, 1, 0))
+    with pytest.raises(ConfigurationError, match=r"\[experiment\] seeds: the list has duplicates"):
+        run_experiment(spec, output_dir=tmp_path)
+    assert not (tmp_path / "raw.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_process_builds_one_environment(tmp_path, monkeypatch, jobs):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 starts a pool on any host
+    log = tmp_path / "built"
+    log.touch()
+
+    def make():
+        with log.open("a") as f:  # a file, so that a build in a worker shows too
+            f.write(f"{os.getpid()}\n")
+        return TinyQuadEnv()
+
+    spec = quad_spec([opt("gd"), opt("congo-e"), opt("gdsp")], seeds=(0, 1, 2))
+    spec.make_environment = make
+    table = run_experiment(spec, jobs=jobs)
+    # built once, in this process; a forked worker inherits its own copy
+    assert log.read_text().split() == [str(os.getpid())]
+    assert [(r.optimizer, r.seed) for r in table.runs] == [
+        (name, seed) for name in ("congo-e", "gd", "gdsp") for seed in (0, 1, 2)
+    ]
+
+
 def test_run_sweep_writes_the_summary(tmp_path):
     spec_text = """
 [experiment]

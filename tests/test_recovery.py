@@ -5,6 +5,7 @@ signals against fresh Gaussian matrices, one rng per seed, so the success
 counts below are frozen properties of the implementation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -248,10 +249,15 @@ def _ref_project_ball(point, center, radius):
     return center + offset * (radius / dist)
 
 
-def _recorded_calls(monkeypatch, preset, optimizer, solver, rounds=25):
-    """The arguments of every `solver` call `optimizer` makes in `rounds` rounds of seeds 0-1."""
+def _recorded_calls(monkeypatch, preset, optimizer, solver, rounds=25, m=None):
+    """The arguments of every `solver` call `optimizer` makes in `rounds` rounds of seeds 0-1.
+
+    m, if given, replaces the preset's measurement count.
+    """
     spec = load_spec(find_preset(preset))
     cfg = next(c for c in spec.optimizers if c.name == optimizer)
+    if m is not None:
+        cfg = dataclasses.replace(cfg, m=m)
     original = getattr(optimizers, solver)
     calls = []
 
@@ -276,11 +282,45 @@ def test_basis_pursuit_matches_the_reference_loop(preset, monkeypatch):
             assert out.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("preset", ["quadratic-noiseless", "quadratic-noisy-d50"])
-def test_cosamp_matches_the_reference_loop(preset, monkeypatch):
-    for args in _recorded_calls(monkeypatch, preset, "congo-e", "cosamp"):
+# m = 8 puts the noisy preset (s = 5) below the recovery threshold, 2s > m,
+# where the pursuit and both taboo restarts run and revisit supports
+COSAMP_CASES = [
+    pytest.param("quadratic-noiseless", None, id="quadratic-noiseless"),
+    pytest.param("quadratic-noisy-d50", None, id="quadratic-noisy-d50"),
+    pytest.param("quadratic-noisy-d50", 8, id="quadratic-noisy-d50-m8"),
+]
+
+
+@pytest.mark.parametrize("preset, m", COSAMP_CASES)
+def test_cosamp_matches_the_reference_loop(preset, m, monkeypatch):
+    for args in _recorded_calls(monkeypatch, preset, "congo-e", "cosamp", m=m):
         assert cosamp(*args).tobytes() == _ref_cosamp(*args).tobytes()
         # the residual norm steers the stall count and the restarts
         x, resid_norm = _pursuit(*args, frozenset())
         ref_x, ref_norm = _ref_pursuit(*args, frozenset())
         assert x.tobytes() == ref_x.tobytes() and resid_norm == ref_norm
+
+
+def test_cosamp_solves_each_column_sequence_once(monkeypatch):
+    calls = _recorded_calls(monkeypatch, "quadratic-noisy-d50", "congo-e", "cosamp", m=8)
+    original = np.linalg.lstsq
+    solved = []
+
+    def record(a, b, rcond=None):
+        # a is matrix[:, cols]: its bytes name the column sequence
+        solved.append((a.shape, a.tobytes()))
+        return original(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", record)
+    repeats = 0
+    for args in calls:
+        solved.clear()
+        _ref_cosamp(*args)
+        reference = list(solved)
+        solved.clear()
+        cosamp(*args)
+        assert len(solved) == len(set(solved))
+        assert set(solved) == set(reference)
+        repeats += len(reference) - len(solved)
+    # below the threshold the unshared loops repeat most of their solves
+    assert repeats > len(calls)
