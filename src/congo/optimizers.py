@@ -164,7 +164,7 @@ def gdsp_step(
 ) -> np.ndarray:
     """Averaged simultaneous-perturbation estimate; draws share the base query."""
     draws = cfg.averaging_count()
-    signs = rng.integers(0, 2, size=(draws, x.shape[0])).astype(float) * 2.0 - 1.0
+    signs = draw_matrix(draws, x.shape[0], "rademacher", rng)
     # (probe - base) / (delta * sign_j) == (probe - base) / delta * sign_j
     scaled = forward_differences(oracle, x, signs, np.full(draws, cfg.delta)) / cfg.delta
     return (scaled[:, None] * signs).sum(axis=0) / draws
@@ -173,10 +173,8 @@ def gdsp_step(
 def nsgd_step(
     cfg: OptimizerConfig, oracle: ValueOracle, x: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """One forward difference per coordinate; d+1 queries."""
-    d = x.shape[0]
-    diffs = forward_differences(oracle, x, np.eye(d), np.full(d, cfg.delta))
-    return diffs / cfg.delta
+    """One forward difference per coordinate: the single-row scheme on the identity; d+1 queries."""
+    return measure_single_row(oracle, x, np.eye(x.shape[0]), cfg.delta)
 
 
 def run_online(cfg: OptimizerConfig, env, horizon: int, seed: int) -> list[RoundRecord]:

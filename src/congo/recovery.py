@@ -64,10 +64,8 @@ def _pursuit(
     values: np.ndarray,
     s: int,
     taboo: frozenset[int],
-    solves: dict[tuple[int, ...], np.ndarray] | None = None,
+    solves: dict[tuple[int, ...], np.ndarray],
 ) -> tuple[np.ndarray, float]:
-    if solves is None:
-        solves = {}
     m, d = matrix.shape
     x = np.zeros(d)
     residual = values.copy()

@@ -1,14 +1,15 @@
 """Acceptance battery: ten numbered criteria, each with pinned tolerances.
 
 Every test prints one PASS/FAIL line through criterion_report (replayed in a
-terminal section after the run). The gradient-error sweep is computed once in
-a module fixture and shared by the criteria that read it; per-m timings are
-kept so each criterion's runtime budget covers only its own work. The seed
-grids run through run_experiment on os.cpu_count() forked workers; by the
-determinism contract their results do not depend on the worker count.
+terminal section after the run). Criteria 03-06 and 10 run packaged presets,
+so editing a preset moves its criterion. The gradient-error sweep is computed
+once in a module fixture and shared by the criteria that read it; per-m
+timings are kept so each criterion's runtime budget covers only its own work.
+The seed grids run through run_experiment on os.cpu_count() forked workers;
+by the determinism contract their results do not depend on the worker count.
 """
 
-import functools
+import dataclasses
 import os
 import time
 
@@ -26,8 +27,8 @@ from congo.env_quadratic import (
 from congo.harness import ExperimentSpec, run_experiment
 from congo.optimizers import ConstantRate, OptimizerConfig, run_online
 from congo.recovery import cosamp, rescale
-from congo.scenario import find_preset, load_spec
-from congo.sensing import ValueOracle, draw_matrix, measure_single_row, pointwise, prescribe_m
+from congo.scenario import PRESET_ENV_VAR, find_preset, load_spec, load_sweep, parse_seed_list
+from congo.sensing import ValueOracle, draw_matrix, measure_single_row, pointwise
 
 
 def unit_sparse(rng, d, s):
@@ -37,32 +38,46 @@ def unit_sparse(rng, d, s):
     return g
 
 
-def run_quadratic(name, seeds, T=100, d=50, s=5, R=50.0, sigma=0.0, delta=1e-5,
-                  m=24, k=None, lr=0.1, s_given=None, env_extra=None):
-    """All quadratic-battery runs share this shape; returns one RunResult per seed.
-
-    s is the adversary's sparsity; s_given, the one the optimizer assumes and
-    derives its smoothness bounds from, defaults to s.
-    """
-    s_given = s if s_given is None else s_given
-    env_cfg = QuadraticAdversaryConfig(dimension=d, sparsity=s, radius=R, noise_sigma=sigma,
-                                       **(env_extra or {}))
-    cfg = OptimizerConfig(name=name, schedule=ConstantRate(lr), delta=delta, sparsity=s_given,
-                          m=m, k=k, smoothness=smoothness_bounds(R, s_given))
-    spec = ExperimentSpec(name=name, kind="quadratic",
-                          make_environment=functools.partial(QuadraticAdversary, env_cfg),
-                          optimizers=[cfg], horizon=T, seeds=tuple(seeds))
-    return run_experiment(spec, jobs=os.cpu_count(), plot=False).runs
+def preset(name, seeds=None):
+    """A packaged preset's spec, or a sweep preset's specs by swept value, on seeds if
+    given (as --seeds sets them); a budget other than the bounds' fails, naming the preset."""
+    path = find_preset(name)
+    spec = load_spec(path)
+    plan = load_sweep(path) if spec.sweep else None
+    for one in plan.specs if plan else [spec]:
+        if seeds is not None:
+            one.seeds = parse_seed_list(seeds)
+        if one.horizon != 100 or one.seeds != tuple(range(50)):
+            pytest.fail(f"preset {name}: {one.horizon} rounds on {len(one.seeds)} seeds; the "
+                        "criterion's bounds were set on 100 rounds on seeds 0-49")
+    return dict(zip(plan.values, plan.specs)) if plan else spec
 
 
-def mean_grad_error(name, seeds, **kw):
+def run(spec, drop=(), **changes):
+    """spec's grid without the optimizers named in drop; changes replace spec fields."""
+    changes.setdefault("optimizers", [cfg for cfg in spec.optimizers if cfg.name not in drop])
+    return run_experiment(dataclasses.replace(spec, **changes), jobs=os.cpu_count(), plot=False)
+
+
+def mean_grad_error(runs):
     # the quadratic adversary has an exact gradient every round, so no NaN
-    return float(np.mean(np.concatenate([r.grad_errors for r in run_quadratic(name, seeds, **kw)])))
+    return float(np.mean(np.concatenate([r.grad_errors for r in runs])))
 
 
-def mean_final_cost(name, seeds, **kw):
+def mean_final_cost(runs):
     # the sum of the costs, not cum_costs[-1]: nancumsum rounds differently
-    return float(np.mean([float(np.sum(r.costs)) for r in run_quadratic(name, seeds, **kw)]))
+    return float(np.mean([float(np.sum(r.costs)) for r in runs]))
+
+
+def test_a_preset_off_the_calibrated_budget_fails_by_name(tmp_path, monkeypatch):
+    text = find_preset("quadratic-noiseless").read_text().replace("rounds = 100", "rounds = 50")
+    (tmp_path / "quadratic-noiseless.cfg").write_text(text)
+    monkeypatch.setenv(PRESET_ENV_VAR, str(tmp_path))  # shadows the packaged preset
+    with pytest.raises(pytest.fail.Exception, match="preset quadratic-noiseless: 50 rounds on 50"):
+        preset("quadratic-noiseless")
+    # the sweep ships seeds 0-19; criterion 10 runs it at 0-49
+    with pytest.raises(pytest.fail.Exception, match="preset sweep-given-sparsity: 100 rounds on 20"):
+        preset("sweep-given-sparsity")
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +87,11 @@ def error_sweep():
     Only the counts that criteria 03 and 05 read: m = 11 and 12 are skipped.
     """
     errors, timings = {}, {}
-    for m in [*range(6, 11), *range(13, 25)]:
+    for m, spec in preset("sweep-measurement-rows").items():
+        if m in (11, 12):
+            continue
         t0 = time.perf_counter()
-        errors[m] = mean_grad_error("congo-e", range(50), m=m)
+        errors[m] = mean_grad_error(run(spec).runs)
         timings[m] = time.perf_counter() - t0
     return errors, timings
 
@@ -130,7 +147,9 @@ def test_criterion_03_gradient_error_comparison(criterion_report, error_sweep):
     """Sample-matched SPSA averaging sits near 31.64 while the sparse recovery is ~100x lower."""
     errors, timings = error_sweep
     t0 = time.perf_counter()
-    gdsp = mean_grad_error("gdsp", range(50), k=25)  # 26 samples per round
+    base = preset("sweep-measurement-rows")[24]  # the error sweep's spec at m = 24
+    gdsp_cfg = dataclasses.replace(base.optimizers[0], name="gdsp", k=25)  # 26 samples per round
+    gdsp = mean_grad_error(run(base, optimizers=[gdsp_cfg]).runs)
     elapsed = (time.perf_counter() - t0) + timings[24]
     congo_e = errors[24]
     lo, hi = 31.64 * 0.7, 31.64 * 1.3
@@ -147,21 +166,12 @@ def test_criterion_04_cost_orderings_across_panels(criterion_report):
     """Final mean cumulative costs keep the qualitative ordering in all three regimes."""
     t0 = time.perf_counter()
     panels = {}
-    for label, d, sigma, delta, m, k_b in (
-        ("noiseless-d50", 50, 0.0, 1e-5, 24, 72),
-        ("noisy-d50", 50, 0.001, 0.05, 24, 72),
-        ("noisy-d100", 100, 0.001, 0.05, 30, 180),
-    ):
-        kw = dict(seeds=range(50), d=d, R=100.0, sigma=sigma, delta=delta, m=m)
-        panels[label] = {
-            "gd": mean_final_cost("gd", **kw),
-            "congo-e": mean_final_cost("congo-e", **kw),
-            "congo-b": mean_final_cost("congo-b", k=k_b, **kw),
-            "gdsp": mean_final_cost("gdsp", k=m, **kw),
-        }
+    for label in ("noiseless", "noisy-d50", "noisy-d100"):
+        table = run(preset(f"quadratic-{label}"), drop=("congo-z",))
+        panels[label] = {name: mean_final_cost(table.runs_of(name)) for name in table.optimizers()}
     elapsed = time.perf_counter() - t0
 
-    left = panels["noiseless-d50"]
+    left = panels["noiseless"]
     left_ok = left["gd"] <= left["congo-e"] <= 1.10 * left["gd"] \
         and left["congo-e"] < left["congo-b"] < left["gdsp"]
     ratios = {}
@@ -196,18 +206,19 @@ def test_criterion_05_measurement_count_sweep(criterion_report, error_sweep):
 def test_criterion_06_sublinear_regret(criterion_report):
     """Regret against the hindsight optimum grows sublinearly in the horizon."""
     t0 = time.perf_counter()
-    d, s, R = 50, 5, 50.0
+    base = preset("sweep-measurement-rows")[24]
     means = {}
     for T in (100, 400, 1600):
+        cfg = dataclasses.replace(base.optimizers[0], schedule=ConstantRate(1 / np.sqrt(T)))
         regrets = []
-        for run in run_quadratic("congo-e", range(20), T=T, d=d, s=s, R=R, lr=1 / np.sqrt(T)):
+        for r in run(base, optimizers=[cfg], horizon=T, seeds=tuple(range(20))).runs:
             # the round stream depends on the seed alone: replay it for the reference
-            env = QuadraticAdversary(QuadraticAdversaryConfig(dimension=d, sparsity=s, radius=R))
-            env.reset(run.seed)
+            env = base.make_environment()
+            env.reset(r.seed)
             for t in range(1, T + 1):
                 env.begin_round(t)
             _, best = hindsight_optimum(env.functions, env.constraint_set)
-            regrets.append(float(np.sum(run.costs)) - best)
+            regrets.append(float(np.sum(r.costs)) - best)
         means[T] = float(np.mean(regrets))
     slope = float(np.polyfit(np.log(list(means)), np.log(list(means.values())), 1)[0])
     elapsed = time.perf_counter() - t0
@@ -292,17 +303,18 @@ def test_criterion_09_invariants(criterion_report, tmp_path):
         assert np.linalg.norm(pp - qq) <= np.linalg.norm(p - q) + 1e-12
         assert cset.contains(pp, tol=1e-12)
 
-    # per-round query budgets, exact for every optimizer
-    prof = smoothness_bounds(10.0, 2)
+    # per-round query budgets, exact for every optimizer, on a 12-dimension toy
     T = 6
     expected = {"gd": 0, "congo-e": 6, "congo-z": 6, "congo-b": 5,
                 "gdsp": 5, "sgdsp": 5, "nsgd": 13}
+    toy = QuadraticAdversaryConfig(dimension=12, sparsity=2, radius=10.0)
+    configs = {name: OptimizerConfig(name=name, schedule=ConstantRate(0.05), delta=1e-4, sparsity=2,
+                                     m=5, k=4, smoothness=smoothness_bounds(10.0, 2))
+               for name in expected}
     budgets_ok = True
     for name, per_round in expected.items():
-        env = QuadraticAdversary(QuadraticAdversaryConfig(dimension=12, sparsity=2, radius=10.0))
-        cfg = OptimizerConfig(name=name, schedule=ConstantRate(0.05), delta=1e-4,
-                              sparsity=2, m=5, k=4, smoothness=prof)
-        records = run_online(cfg, env, T, seed=0)
+        env = QuadraticAdversary(toy)
+        records = run_online(configs[name], env, T, seed=0)
         for r in records:
             assert env.constraint_set.contains(r.x, tol=1e-9)
         total = int(np.sum([r.queries for r in records]))
@@ -310,19 +322,11 @@ def test_criterion_09_invariants(criterion_report, tmp_path):
         assert total == per_round * T, f"{name}: {total} != {per_round * T}"
 
     # byte-identical artifacts on re-run, independent of the worker count
-    def spec():
-        cfg = QuadraticAdversaryConfig(dimension=12, sparsity=2, radius=10.0)
-        opts = [
-            OptimizerConfig(name=n, schedule=ConstantRate(0.05), delta=1e-4,
-                            sparsity=2, m=5, k=4, smoothness=prof)
-            for n in ("gd", "congo-e", "gdsp")
-        ]
-        return ExperimentSpec(name="det", kind="quadratic",
-                              make_environment=lambda: QuadraticAdversary(cfg),
-                              optimizers=opts, horizon=5, seeds=(0, 1, 2))
-
-    run_experiment(spec(), output_dir=tmp_path / "a", jobs=1, plot=False)
-    run_experiment(spec(), output_dir=tmp_path / "b", jobs=3, plot=False)
+    spec = ExperimentSpec(name="det", kind="quadratic", horizon=5, seeds=(0, 1, 2),
+                          make_environment=lambda: QuadraticAdversary(toy),
+                          optimizers=[configs[n] for n in ("gd", "congo-e", "gdsp")])
+    run_experiment(spec, output_dir=tmp_path / "a", jobs=1, plot=False)
+    run_experiment(spec, output_dir=tmp_path / "b", jobs=3, plot=False)
     identical = (tmp_path / "a" / "raw.csv").read_bytes() == (tmp_path / "b" / "raw.csv").read_bytes()
     elapsed = time.perf_counter() - t0
     passed = identical and budgets_ok
@@ -337,22 +341,16 @@ def test_criterion_10_robustness_presets(criterion_report):
     t0 = time.perf_counter()
 
     # off-support mass at 1/d of the on-support scale
-    env_extra = dict(fixed_constant=2.0, approx_scale=0.01)
-    kw = dict(seeds=range(50), d=100, R=100.0, env_extra=env_extra)
-    m = prescribe_m(5, 100)
-    gd = mean_final_cost("gd", m=m, **kw)
-    congo_e = mean_final_cost("congo-e", m=m, **kw)
-    gdsp = mean_final_cost("gdsp", m=m, k=m, **kw)
+    approx = run(preset("quadratic-approx-sparsity"))
+    gd, congo_e, gdsp = (mean_final_cost(approx.runs_of(n)) for n in ("gd", "congo-e", "gdsp"))
     e_excess, gdsp_excess = congo_e - gd, gdsp - gd
 
     # sparsity overestimates: given s from 10 up to 20 against a true s of 10
-    wrong_kw = dict(seeds=range(50), d=100, s=10, R=100.0,
-                    env_extra=dict(fixed_constant=2.0))
-    gd_wrong = mean_final_cost("gd", m=47, **wrong_kw)
+    sweep = preset("sweep-given-sparsity", seeds="0-49")
+    gd_wrong = mean_final_cost(run(sweep[10], drop=("congo-e",)).runs)  # gd ignores the given s
     excesses = {
-        s_given: mean_final_cost("congo-e", m=prescribe_m(s_given, 100), s_given=s_given,
-                                 **wrong_kw) - gd_wrong
-        for s_given in range(10, 21)
+        s_given: mean_final_cost(run(spec, drop=("gd",)).runs) - gd_wrong
+        for s_given, spec in sweep.items()
     }
     values = np.array(list(excesses.values()))
     # relative spread, floored at 1% of the baseline cost so a near-zero mean

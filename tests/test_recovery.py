@@ -83,7 +83,7 @@ def test_cosamp_noisy_recovery_tracks_noise_level():
 def test_cosamp_restart_escapes_taboo_support():
     # a system whose first pursuit stalls still ends at the best residual found
     matrix, values, g, _ = make_system(7)
-    _, first_norm = _pursuit(matrix, values, 3, frozenset())
+    _, first_norm = _pursuit(matrix, values, 3, frozenset(), {})
     assert first_norm > TOLERANCE  # so cosamp restarts
     x = cosamp(matrix, values, sparsity=3)
     resid = np.linalg.norm(values - matrix @ x)
@@ -296,7 +296,7 @@ def test_cosamp_matches_the_reference_loop(preset, m, monkeypatch):
     for args in _recorded_calls(monkeypatch, preset, "congo-e", "cosamp", m=m):
         assert cosamp(*args).tobytes() == _ref_cosamp(*args).tobytes()
         # the residual norm steers the stall count and the restarts
-        x, resid_norm = _pursuit(*args, frozenset())
+        x, resid_norm = _pursuit(*args, frozenset(), {})
         ref_x, ref_norm = _ref_pursuit(*args, frozenset())
         assert x.tobytes() == ref_x.tobytes() and resid_norm == ref_norm
 
