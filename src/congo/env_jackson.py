@@ -222,14 +222,22 @@ def simulate_window(
 
     Events run in time order: an arrival at the same instant as a completion
     is admitted first, and completions at the same instant go in queue order
-    (continuous draws make such ties a probability-zero event). An arriving
-    and a routed job join their next queue alike, before the queue that a
-    completion freed starts its next job. The i-th service to start takes the
-    i-th of one block of standard exponentials, one per route visit of the
-    window's jobs, scaled by its queue's mean service time. Afterwards the
-    generator is rewound and advanced by exactly the draws used, so it ends
-    where one rng.exponential call per service start would leave it, and the
-    window's values are the same bit for bit.
+    (continuous draws make such ties a probability-zero event). A job routed
+    onward joins its next queue before the queue that its completion freed
+    starts its next job. The i-th service to start takes the i-th of one
+    block of standard exponentials, one per route visit of the window's jobs,
+    scaled by its queue's mean service time. Afterwards the generator is
+    rewound and advanced by exactly the draws used, so it ends where one
+    rng.exponential call per service start would leave it, and the window's
+    values are the same bit for bit.
+
+    The window's route visits sit in one flat list, each job's visits
+    followed by a slot holding ~job; a queue's server and waiting line hold
+    list positions, so a completion reads the job's next visit, or its
+    departure, at the position after its current one. A completion whose
+    queue has a job waiting replaces that queue's heap entry with the next
+    service instead of popping it and pushing a new one; the event order and
+    the draw each service takes are those of the pop-and-push loop.
     """
     names = topology.job_names
     # probes step outside the box, so near a lower_bound of 0 a probed
@@ -242,10 +250,15 @@ def simulate_window(
     n = arrivals.shape[0]
     probs = np.array([mix.get(name, 0.0) for name in names])
     routes = [topology.routes[name] for name in names]
-    job_route = [routes[k] for k in rng.choice(len(names), size=n, p=probs).tolist()]
+    visit: list[int] = []
+    first = []  # each job's first visit, always to ENTRY_QUEUE
+    for job, kind in enumerate(rng.choice(len(names), size=n, p=probs).tolist()):
+        first.append(len(visit))
+        visit += routes[kind]
+        visit.append(~job)
 
     # every route visit starts one service, so the window needs at most cap draws
-    cap = sum(map(len, job_route))
+    cap = len(visit) - n
     saved_state = rng.bit_generator.state
     draws = rng.standard_exponential(cap).tolist()
     used = 0
@@ -253,13 +266,14 @@ def simulate_window(
     arrival_times = arrivals.tolist()
     arrival_times.append(math.inf)  # the sentinel after the last arrival
     entry = ENTRY_QUEUE
-    stage = [0] * n
+    entry_mean = mean_service[entry]
     waiting = [deque() for _ in range(topology.num_queues)]
+    entry_waiting = waiting[entry]
     in_service = [-1] * topology.num_queues
     # (completion time, queue): a queue has at most one pending completion.
     # Every real completion is finite, so the sentinel is never popped.
     heap: list[tuple[float, int]] = [(math.inf, -1)]
-    heappush, heappop = heapq.heappush, heapq.heappop
+    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
     next_arrival = 0
     arrival_time = arrival_times[0]
     measure_start = sim_cfg.warmup_seconds
@@ -267,44 +281,49 @@ def simulate_window(
     departures = 0
 
     while True:
-        if arrival_time <= heap[0][0]:  # ties: arrivals join before services finish
+        top = heap[0]
+        if arrival_time <= top[0]:  # ties: arrivals join before services finish
             now = arrival_time
             if now > horizon:
                 break
-            job = next_arrival
-            target = entry
-            freed = -1
+            position = first[next_arrival]
             next_arrival += 1
             arrival_time = arrival_times[next_arrival]
+            if in_service[entry] < 0:
+                in_service[entry] = position
+                heappush(heap, (now + draws[used] * entry_mean, entry))
+                used += 1
+            else:
+                entry_waiting.append(position)
+            continue
+
+        now, freed = top
+        if now > horizon:
+            break
+        position = in_service[freed] + 1
+        target = visit[position]  # never the freed queue: Topology rejects repeats in a row
+        routed = None
+        if target < 0:  # the job leaves
+            if now >= measure_start:
+                total_sojourn += now - arrival_times[~target]
+                departures += 1
+        elif in_service[target] < 0:
+            in_service[target] = position
+            routed = (now + draws[used] * mean_service[target], target)
+            used += 1
         else:
-            now, freed = heappop(heap)
-            if now > horizon:
-                break
-            job = in_service[freed]
-            visits = stage[job] + 1
-            stage[job] = visits
-            route = job_route[job]
-            if visits < len(route):
-                target = route[visits]  # never the freed queue: Topology rejects repeats in a row
-            else:
-                target = -1
-                if now >= measure_start:
-                    total_sojourn += now - arrival_times[job]
-                    departures += 1
-        if target >= 0:  # the job joins its next queue
-            if in_service[target] < 0:
-                in_service[target] = job
-                heappush(heap, (now + draws[used] * mean_service[target], target))
-                used += 1
-            else:
-                waiting[target].append(job)
-        if freed >= 0:  # then the freed queue takes its next job
-            if waiting[freed]:
-                in_service[freed] = waiting[freed].popleft()
-                heappush(heap, (now + draws[used] * mean_service[freed], freed))
-                used += 1
-            else:
-                in_service[freed] = -1
+            waiting[target].append(position)
+        # replace before the push: a routed entry due at now could sit on top
+        line = waiting[freed]
+        if line:
+            in_service[freed] = line.popleft()
+            heapreplace(heap, (now + draws[used] * mean_service[freed], freed))
+            used += 1
+        else:
+            in_service[freed] = -1
+            heappop(heap)
+        if routed is not None:
+            heappush(heap, routed)
 
     rng.bit_generator.state = saved_state
     rng.standard_exponential(used)
@@ -343,7 +362,7 @@ class JacksonEnvironment:
         self._initial = initial
         self._rng: np.random.Generator | None = None
         self._rate = 0.0
-        self._mix: dict[str, float] = {}
+        self._mix: dict[str, float] | None = None  # None: no round is open
 
     @property
     def dim(self) -> int:
@@ -351,9 +370,13 @@ class JacksonEnvironment:
 
     def reset(self, seed: int) -> np.ndarray:
         self._rng = np.random.default_rng([seed, _SIM_STREAM])
+        self._mix = None  # the last run's round must not leak into this one
         return self._initial.copy()
 
     def begin_round(self, t: int) -> None:
+        # a raise, not an assert, so that python -O keeps the check
+        if self._rng is None:
+            raise RuntimeError("reset() must run before begin_round()")
         self._rate, self._mix = self.schedule.at(t)
 
     def _latency(self, x: np.ndarray) -> float:
@@ -363,6 +386,8 @@ class JacksonEnvironment:
 
     def incur(self, x: np.ndarray) -> float:
         """Mean latency of one fresh window plus resource_weight * sum(x); NaN if unstable."""
+        if self._mix is None:  # checked once a round, never per window
+            raise RuntimeError("begin_round() must run after reset() and before incur()")
         return self._latency(x) + self.sim_cfg.resource_weight * float(x.sum())
 
     def oracle(self) -> ValueOracle:
@@ -372,6 +397,8 @@ class JacksonEnvironment:
         finite differences carry full window-to-window noise: the noise level
         the estimator comparison is about.
         """
+        if self._mix is None:  # checked once a round, never per window
+            raise RuntimeError("begin_round() must run after reset() and before oracle()")
         return ValueOracle(pointwise(self._latency))
 
     def gradient_offset(self) -> np.ndarray:

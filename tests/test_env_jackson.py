@@ -9,9 +9,12 @@ acceptance suite.
 import heapq
 import math
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congo.core import ConfigurationError
 from congo.env_jackson import (
@@ -19,6 +22,7 @@ from congo.env_jackson import (
     SERVICE_RATE_FLOOR,
     FixedWorkload,
     JacksonEnvironment,
+    LatencyObservation,
     SimConfig,
     Topology,
     VariableMixWorkload,
@@ -254,6 +258,28 @@ def test_environment_round_protocol():
     assert np.allclose(corrected, [60.0, 5.0])
 
 
+def test_incur_and_oracle_need_begin_round_after_each_reset():
+    env = JacksonEnvironment(TANDEM, FixedWorkload(rate=2.0, mix=ONE_JOB), quick_cfg())
+    x = np.array([4.0, 4.0])
+    missing = r"begin_round\(\) must run after reset\(\) and before "
+
+    def assert_no_round():
+        with pytest.raises(RuntimeError, match=missing + r"incur\(\)"):
+            env.incur(x)
+        with pytest.raises(RuntimeError, match=missing + r"oracle\(\)"):
+            env.oracle()
+
+    assert_no_round()
+    with pytest.raises(RuntimeError, match=r"reset\(\) must run before begin_round\(\)"):
+        env.begin_round(1)
+    env.reset(0)
+    assert_no_round()
+    env.begin_round(1)
+    assert np.isfinite(env.incur(x))
+    env.reset(0)
+    assert_no_round()  # the last run's round does not carry over
+
+
 def test_sim_config_rejects_an_initial_allocation_outside_the_box():
     bounds = r"is outside \[lower_bound, upper_bound\] = \[1.0, 60.0\]"
     with pytest.raises(ConfigurationError, match="initial_allocation: 0.0 " + bounds):
@@ -274,7 +300,12 @@ def test_environment_runs_are_reproducible():
 
 
 def _per_event_reference(topology, rate, mix, allocation, sim_cfg, rng):
-    """The simulator's event loop as it was when it drew one rng.exponential per service start."""
+    """The simulator's event loop as it was when it drew one rng.exponential per service start.
+
+    It breaks a tie between completions by push order (its seq), not by queue,
+    and real draws never tie, so comparing against it cannot catch a broken
+    tie rule; test_same_instant_events_follow_the_tie_rules pins those.
+    """
     names = topology.job_names
     service_rate = np.maximum(allocation, 0.0) + SERVICE_RATE_FLOOR
     mean_service = 1.0 / service_rate
@@ -389,6 +420,88 @@ def test_simulate_window_matches_the_per_event_reference(case):
         assert obs.departures == departures
         assert np.array_equal(obs.mean_latency, latency, equal_nan=True)
         assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@st.composite
+def small_networks(draw):
+    """A random network of 1-6 queues and 1-4 job types, with its workload and allocation."""
+    num_queues = draw(st.integers(1, 6))
+    routes = {}
+    for k in range(draw(st.integers(1, 4))):
+        route = [ENTRY_QUEUE]
+        for _ in range(draw(st.integers(0, 5)) if num_queues > 1 else 0):
+            # a nonzero step modulo num_queues: routes come back, never twice in a row
+            route.append((route[-1] + draw(st.integers(1, num_queues - 1))) % num_queues)
+        routes[f"job{k}"] = tuple(route)
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(routes), max_size=len(routes)))
+    weights[0] += 1  # at least one job type can arrive
+    mix = {name: w / sum(weights) for name, w in zip(routes, weights)}
+    rate = draw(st.floats(0.2, 6.0))
+    # down to negative allocations, which serve at the floor rate
+    allocation = np.array(draw(st.lists(st.floats(-1.0, 8.0), min_size=num_queues, max_size=num_queues)))
+    cfg = quick_cfg(
+        warmup_seconds=draw(st.floats(0.0, 3.0)), measure_seconds=draw(st.floats(0.5, 4.0))
+    )
+    return Topology(num_queues=num_queues, routes=routes), rate, mix, allocation, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(network=small_networks(), seed=st.integers(0, 2**32 - 1))
+def test_simulate_window_matches_the_reference_on_random_networks(network, seed):
+    topology, rate, mix, x, cfg = network
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):  # consecutive windows share the generator
+        obs = simulate_window(topology, rate, mix, x, cfg, fast)
+        latency, departures = _per_event_reference(topology, rate, mix, x, cfg, slow)
+        assert obs.departures == departures
+        assert np.array_equal(obs.mean_latency, latency, equal_nan=True)
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+class _ScriptedGenerator:
+    """Stands in for a Generator: arrivals every `spacing` seconds, all of job type 0,
+    and `draws` as the window's block of service draws."""
+
+    def __init__(self, spacing, draws):
+        self.spacing = spacing
+        self.draws = draws
+        self.bit_generator = SimpleNamespace(state=None)
+        self.block_sizes = []  # the block drawn, then the draws used on the rewind
+
+    def exponential(self, scale, size):
+        return np.full(size, self.spacing)
+
+    def choice(self, a, size, p):
+        return np.zeros(size, dtype=np.int64)
+
+    def standard_exponential(self, size):
+        self.block_sizes.append(size)
+        return np.array(self.draws[:size])
+
+
+@pytest.mark.parametrize(
+    "horizon, draws, used, latency",
+    [
+        # Job 0 holds queue 1 until t=3, with job 1 waiting; job 2 arrives at t=3.
+        # Admitted first, job 2 starts at queue 0 with draw 3 (0.25) and job 1 at
+        # queue 1 with draw 4 (0.125), so it leaves at 3.125 after 1.125; job 0
+        # left after 2.0. Completion first would give job 1 draw 3, and 1.625.
+        (3.5, [0.25, 1.75, 0.5, 0.25, 0.125, 1.0], 6, (2.0 + 1.125) / 2),
+        # At t=4.5 queue 0 finishes job 2, with job 3 waiting, and queue 1
+        # finishes job 0, with job 1 waiting. Queue 0 goes first: job 3 takes
+        # draw 4 (0.125) and job 1 draw 5 (0.0625), so job 1 leaves at 4.5625
+        # after 2.5625; job 0 left after 3.5. Queue 1 first would give 3.0625.
+        (4.75, [0.25, 3.25, 0.375, 1.5, 0.125, 0.0625, 1.0, 2.0], 7, (3.5 + 2.5625) / 2),
+    ],
+    ids=["arrival-before-completion", "completions-in-queue-order"],
+)
+def test_same_instant_events_follow_the_tie_rules(horizon, draws, used, latency):
+    rng = _ScriptedGenerator(spacing=1.0, draws=draws)
+    cfg = quick_cfg(warmup_seconds=0.0, measure_seconds=horizon)
+    x = np.full(2, 1.0 - SERVICE_RATE_FLOOR)  # mean service time 1: each service lasts its draw
+    obs = simulate_window(TANDEM, 1.0, ONE_JOB, x, cfg, rng)
+    assert obs == LatencyObservation(mean_latency=latency, departures=2)
+    assert rng.block_sizes == [len(draws), used]
 
 
 def test_a_reused_environment_plays_like_fresh_ones():
