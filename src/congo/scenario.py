@@ -251,7 +251,7 @@ def _read_file(path: Path) -> configparser.ConfigParser:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{path}: not a valid spec file ({exc})")
     return parser
 

@@ -9,17 +9,12 @@ count is decoupled from the number of rows.
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import Callable
 
 import numpy as np
 
 from .core import MeasurementError
-
-log = logging.getLogger(__name__)
-
-_MAX_REDRAWS = 64
 
 
 class ValueOracle:
@@ -72,24 +67,11 @@ def pointwise(fn: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.nd
 
 
 def draw_matrix(m: int, d: int, distribution: str, rng: np.random.Generator) -> np.ndarray:
-    """Draw a fresh (m, d) measurement matrix.
+    """Draw a fresh (m, d) measurement matrix with iid gaussian or rademacher entries.
 
-    gaussian and rademacher rows have iid entries. Rows that come out
-    identically zero are redrawn so the perturbation directions below are
-    always well defined.
+    The rows are used as drawn. A zero row would make its probe point NaN, so
+    the oracle would fail the measurement like any non-finite probe.
     """
-    entries = _draw_rows(m, d, distribution, rng)
-    for _ in range(_MAX_REDRAWS):
-        # a row's norm is zero exactly when its sum of squares is: no square root needed
-        bad = (entries * entries).sum(axis=1) == 0.0
-        if not bad.any():
-            break
-        log.debug("redrawing %d zero measurement rows", int(bad.sum()))
-        entries[bad] = _draw_rows(int(bad.sum()), d, distribution, rng)
-    return entries
-
-
-def _draw_rows(m: int, d: int, distribution: str, rng: np.random.Generator) -> np.ndarray:
     if distribution == "gaussian":
         return rng.standard_normal((m, d))
     return rng.integers(0, 2, size=(m, d)).astype(float) * 2.0 - 1.0
@@ -132,21 +114,14 @@ def measure_combined(
 
     Each draw perturbs along A^T D for a Rademacher sign vector D, giving a
     one-query estimate of every entry of (A grad f) at once; averaging over k
-    draws shrinks the cross-row interference, which has zero mean.
+    draws shrinks the cross-row interference, which has zero mean. A zero
+    combination makes its probe point NaN, which fails the measurement.
     """
-    signs = _draw_rows(k, matrix.shape[0], "rademacher", rng)
-    for _ in range(_MAX_REDRAWS):
-        # one matrix-vector product and one dot product per draw, stacked:
-        # signs @ A or a summed square would round differently
-        combos = (matrix.T @ signs[:, :, None])[:, :, 0]
-        norms_sq = (combos[:, None, :] @ combos[:, :, None]).ravel()
-        bad = norms_sq == 0.0
-        if not bad.any():
-            break
-        log.debug("redrawing %d sign vectors: combined direction was zero", int(bad.sum()))
-        signs[bad] = _draw_rows(int(bad.sum()), matrix.shape[0], "rademacher", rng)
-    else:
-        raise MeasurementError("could not draw a nonzero combined perturbation direction")
+    signs = draw_matrix(k, matrix.shape[0], "rademacher", rng)
+    # one matrix-vector product and one dot product per draw, stacked:
+    # signs @ A or a summed square would round differently
+    combos = (matrix.T @ signs[:, :, None])[:, :, 0]
+    norms_sq = (combos[:, None, :] @ combos[:, :, None]).ravel()
     scaled = forward_differences(oracle, x, combos, delta / norms_sq) * (norms_sq / delta)
     # 1/sign_i == sign_i for signs in {-1, +1}; the sum adds draw after draw
     return (scaled[:, None] * signs).sum(axis=0) / k

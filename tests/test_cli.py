@@ -1,5 +1,6 @@
 """Command-line exit codes, the modules a run imports, and the README's examples."""
 
+import csv
 import multiprocessing
 import os
 import re
@@ -310,6 +311,25 @@ def test_empty_out_exit_2_and_write_nothing(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.cfg", "sweep.cfg"]
 
 
+def test_a_spec_that_is_not_utf8_exits_2_and_lists_as_unreadable(tmp_path, capsys, monkeypatch):
+    presets = tmp_path / "presets"
+    presets.mkdir()
+    spec = presets / "latin1.cfg"
+    spec.write_bytes(SWEEP.replace("[experiment]\n", "[experiment]\nname = café\n").encode("latin-1"))
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (["validate", str(spec)], ["run", str(spec), *out], ["sweep", str(spec), *out]):
+        assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and len(set(err)) == 1
+    assert err[0].startswith(f"error: {spec}: not a valid spec file (") and "decode byte 0xe9" in err[0]
+    assert not (tmp_path / "out").exists()
+
+    monkeypatch.setenv(PRESET_ENV_VAR, str(presets))
+    assert main(["list-presets"]) == 0
+    listed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["latin1", "unreadable", str(spec)] in listed
+
+
 # sweeps whose base spec loads but whose swept specs do not: (text of SWEEP to
 # replace, its replacement, pattern the error message must match)
 BAD_SWEEP_VALUES = {
@@ -431,6 +451,23 @@ def test_sweep_rejects_no_plot(capsys):
         main(["sweep", "sweep-measurement-rows", "--no-plot"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --no-plot" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in packaged_preset_dir().glob("*.cfg")))
+def test_every_packaged_preset_plays_end_to_end(name, tmp_path):
+    # cut to 2 rounds of seed 0; a sweep preset runs its base spec
+    text, count = re.subn(
+        r"^rounds = .*$", "rounds = 2", (packaged_preset_dir() / f"{name}.cfg").read_text(), flags=re.M
+    )
+    assert count == 1
+    spec = tmp_path / f"{name}.cfg"
+    spec.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--seeds", "0", "--jobs", "1", "--out", str(out)]) == 0
+    with open(out / "raw.csv", newline="") as fh:
+        played = [(row["optimizer"], row["seed"], row["round"]) for row in csv.DictReader(fh)]
+    names = sorted(cfg.name for cfg in load_spec(spec).optimizers)
+    assert played == [(opt, "0", t) for opt in names for t in ("1", "2")]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

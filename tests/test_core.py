@@ -209,16 +209,6 @@ def test_reduction_helpers_are_bit_equal_to_the_numpy_calls_they_replace():
             for a in (matrix, matrix * (1.0 / math.sqrt(m)), np.zeros((m, d))):
                 assert _bits(np.linalg.svd(a, compute_uv=False)[0]) == _bits(np.linalg.norm(a, 2))
 
-    # draw_matrix's zero-row test: (E * E).sum(axis=1) == 0.0 against norm(E, axis=1) == 0.0
-    for d in (10, 50, 100):
-        rows = [rng.normal(size=d), rng.integers(0, 2, size=d) * 2.0 - 1.0, *_special_vectors(d)]
-        entries = np.stack(rows + [rng.normal(size=d) for _ in range(24)])
-        squares = (entries * entries).sum(axis=1)
-        norms = np.linalg.norm(entries, axis=1)
-        assert _bits(np.sqrt(squares)) == _bits(norms)
-        assert np.array_equal(squares == 0.0, norms == 0.0)
-        assert (squares == 0.0).tolist()[1:4] == [False, True, True]  # zeros and 1e-170 read as zero
-
     # forward_differences' batch, rescale's factor, and the array-method reductions
     for d in (10, 50, 100):
         x = rng.normal(size=d)

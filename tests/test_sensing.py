@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from congo import optimizers
 from congo.core import MeasurementError
-from congo.optimizers import ConstantRate, OptimizerConfig, gdsp_step, nsgd_step
+from congo.optimizers import ConstantRate, OptimizerConfig, gdsp_step, nsgd_step, run_online
 from congo.scenario import find_preset, load_spec
 from congo.sensing import (
     ValueOracle,
@@ -127,24 +128,43 @@ def test_combined_validation():
         measure_combined(ValueOracle(pointwise(lambda x: float("inf"))), np.zeros(4), matrix, 0.1, 2, rng)
 
 
-def test_combined_redraws_zero_combinations():
-    # rows [1, 1] and [1, 1]: every draw with opposite signs combines to zero
-    matrix = np.ones((2, 2))
-    points = []
+def test_a_zero_direction_fails_the_measurement(monkeypatch):
+    """No direction is redrawn: a zero one probes x + inf * 0, which is NaN, and the oracle fails there.
 
-    def fn(x):
-        points.append(x.copy())
-        return float(x[0] + 3.0 * x[1])
+    Each division by a zero norm warns, and the suite turns RuntimeWarnings
+    into errors, so every call below runs under pytest.warns.
+    """
+    linear = pointwise(lambda z: float(z[0] + 3.0 * z[1]))
+    oracle = ValueOracle(linear)
+    with pytest.warns(RuntimeWarning), pytest.raises(MeasurementError, match="batch row 2"):
+        measure_single_row(oracle, np.zeros(2), np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]), 0.01)
+    assert oracle.queries == 3  # the base point, the finite probe and the NaN one
 
-    oracle = ValueOracle(pointwise(fn))
-    out = measure_combined(oracle, np.zeros(2), matrix, delta=0.01, k=40, rng=np.random.default_rng(0))
-    assert oracle.queries == 41
-    assert all(np.any(p != 0.0) for p in points[1:])
-    # every kept draw has equal signs, so both rows read the summed slope twice
-    assert np.allclose(out, [8.0, 8.0], atol=1e-9)
-    zero = np.zeros((1, 2))
-    with pytest.raises(MeasurementError):
-        measure_combined(oracle, np.zeros(2), zero, 0.01, 3, np.random.default_rng(0))
+    # rows [1, 1] and [1, 1]: a draw with opposite signs combines to zero
+    signs = draw_matrix(40, 2, "rademacher", np.random.default_rng(0))
+    first_zero = int(np.argmax(signs[:, 0] != signs[:, 1]))
+    assert first_zero > 0
+    for matrix, failing_draw in ((np.ones((2, 2)), first_zero), (np.zeros((1, 2)), 0)):
+        oracle = ValueOracle(linear)
+        with pytest.warns(RuntimeWarning), pytest.raises(MeasurementError):
+            measure_combined(oracle, np.zeros(2), matrix, 0.01, 40, np.random.default_rng(0))
+        assert oracle.queries == 1 + failing_draw + 1
+
+    # in a run, the gate clips the round under "a probe came back non-finite"
+    spec = load_spec(find_preset("quadratic-noiseless"))
+    drawn = optimizers.draw_matrix
+
+    def with_a_zero_row(m, d, distribution, rng):
+        matrix = drawn(m, d, distribution, rng)
+        matrix[1] = 0.0
+        return matrix
+
+    monkeypatch.setattr(optimizers, "draw_matrix", with_a_zero_row)
+    for cfg in spec.optimizers:
+        if cfg.name in ("congo-e", "congo-z"):
+            with pytest.warns(RuntimeWarning):
+                records = run_online(cfg, spec.make_environment(), 2, seed=0)
+            assert [(r.clipped, r.queries) for r in records] == [(True, 3)] * 2, cfg.name
 
 
 def test_prescribe_m_practical_values():
