@@ -234,10 +234,27 @@ def simulate_window(
     The window's route visits sit in one flat list, each job's visits
     followed by a slot holding ~job; a queue's server and waiting line hold
     list positions, so a completion reads the job's next visit, or its
-    departure, at the position after its current one. A completion whose
-    queue has a job waiting replaces that queue's heap entry with the next
-    service instead of popping it and pushing a new one; the event order and
-    the draw each service takes are those of the pop-and-push loop.
+    departure, at the position after its current one. Three shortcuts leave
+    the event order, every draw and the generator's final state as they were
+    when each event was tested against the horizon, each completion popped
+    its entry and pushed the next ones, and rng.choice drew the job types:
+
+    - The horizon is one more heap entry, (horizon, num_queues): a
+      pseudo-queue whose server holds the position before one extra slot,
+      ~n, and the loop ends when that slot's departure comes up. A real
+      completion due exactly at the horizon sorts ahead of it by its lower
+      queue number, and every arrival falls before the horizon.
+    - A completion replaces its heap entry in one operation: with the
+      routed job's service when the job moves on to an idle queue, else with
+      the freed queue's next service; only when neither comes is the entry
+      popped, and only when both come is the second one pushed. Every entry
+      has its own queue, so no two keys tie and the entries pop in the same
+      order; the routed job still takes its draw before the freed queue's
+      next job.
+    - Job types come from the mix's CDF and one rng.random block
+      (_job_types): rng.choice's own arithmetic without its per-call
+      argument checks, which JacksonEnvironment.begin_round runs once a
+      round instead.
     """
     names = topology.job_names
     # probes step outside the box, so near a lower_bound of 0 a probed
@@ -248,11 +265,12 @@ def simulate_window(
 
     arrivals = _poisson_arrivals(rate, horizon, rng)
     n = arrivals.shape[0]
-    probs = np.array([mix.get(name, 0.0) for name in names])
+    # the mix was checked when its round began (JacksonEnvironment.begin_round)
+    kinds = _job_types(np.array([mix.get(name, 0.0) for name in names]), n, rng)
     routes = [topology.routes[name] for name in names]
     visit: list[int] = []
     first = []  # each job's first visit, always to ENTRY_QUEUE
-    for job, kind in enumerate(rng.choice(len(names), size=n, p=probs).tolist()):
+    for job, kind in enumerate(kinds.tolist()):
         first.append(len(visit))
         visit += routes[kind]
         visit.append(~job)
@@ -263,6 +281,8 @@ def simulate_window(
     draws = rng.standard_exponential(cap).tolist()
     used = 0
 
+    end = len(visit)  # the horizon's slot, ~n: the only departure that is no job's
+    visit.append(~n)
     arrival_times = arrivals.tolist()
     arrival_times.append(math.inf)  # the sentinel after the last arrival
     entry = ENTRY_QUEUE
@@ -270,9 +290,9 @@ def simulate_window(
     waiting = [deque() for _ in range(topology.num_queues)]
     entry_waiting = waiting[entry]
     in_service = [-1] * topology.num_queues
-    # (completion time, queue): a queue has at most one pending completion.
-    # Every real completion is finite, so the sentinel is never popped.
-    heap: list[tuple[float, int]] = [(math.inf, -1)]
+    in_service.append(end - 1)  # the horizon pseudo-queue "serves" up to its slot
+    # (completion time, queue): a queue has at most one pending completion
+    heap: list[tuple[float, int]] = [(horizon, topology.num_queues)]
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
     next_arrival = 0
     arrival_time = arrival_times[0]
@@ -284,8 +304,6 @@ def simulate_window(
         top = heap[0]
         if arrival_time <= top[0]:  # ties: arrivals join before services finish
             now = arrival_time
-            if now > horizon:
-                break
             position = first[next_arrival]
             next_arrival += 1
             arrival_time = arrival_times[next_arrival]
@@ -298,22 +316,29 @@ def simulate_window(
             continue
 
         now, freed = top
-        if now > horizon:
-            break
         position = in_service[freed] + 1
         target = visit[position]  # never the freed queue: Topology rejects repeats in a row
-        routed = None
         if target < 0:  # the job leaves
+            if position == end:
+                break
             if now >= measure_start:
                 total_sojourn += now - arrival_times[~target]
                 departures += 1
         elif in_service[target] < 0:
+            # the routed job's entry takes the freed queue's place on the heap
             in_service[target] = position
-            routed = (now + draws[used] * mean_service[target], target)
+            heapreplace(heap, (now + draws[used] * mean_service[target], target))
             used += 1
+            line = waiting[freed]
+            if line:
+                in_service[freed] = line.popleft()
+                heappush(heap, (now + draws[used] * mean_service[freed], freed))
+                used += 1
+            else:
+                in_service[freed] = -1
+            continue
         else:
             waiting[target].append(position)
-        # replace before the push: a routed entry due at now could sit on top
         line = waiting[freed]
         if line:
             in_service[freed] = line.popleft()
@@ -322,14 +347,23 @@ def simulate_window(
         else:
             in_service[freed] = -1
             heappop(heap)
-        if routed is not None:
-            heappush(heap, routed)
 
     rng.bit_generator.state = saved_state
     rng.standard_exponential(used)
 
     mean_latency = total_sojourn / departures if departures else math.nan
     return LatencyObservation(mean_latency=mean_latency, departures=departures)
+
+
+def _job_types(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """rng.choice(len(probs), size=n, p=probs) without its per-call argument checks.
+
+    The arithmetic of Generator.choice with replacement: the same values, and
+    the generator left in the same state.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(n), side="right")
 
 
 def _poisson_arrivals(rate: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
@@ -377,7 +411,10 @@ class JacksonEnvironment:
         # a raise, not an assert, so that python -O keeps the check
         if self._rng is None:
             raise RuntimeError("reset() must run before begin_round()")
-        self._rate, self._mix = self.schedule.at(t)
+        rate, mix = self.schedule.at(t)
+        # once a round: simulate_window draws job types from the mix unchecked
+        _check_mix(mix, self.topology.job_names, f"round {t} mix")
+        self._rate, self._mix = rate, mix
 
     def _latency(self, x: np.ndarray) -> float:
         """Mean latency of one fresh window under the current round's workload."""

@@ -27,6 +27,7 @@ from congo.env_jackson import (
     Topology,
     VariableMixWorkload,
     VariableRateWorkload,
+    _job_types,
     _poisson_arrivals,
     simulate_window,
 )
@@ -280,6 +281,26 @@ def test_incur_and_oracle_need_begin_round_after_each_reset():
     assert_no_round()  # the last run's round does not carry over
 
 
+@pytest.mark.parametrize(
+    "mix, message",
+    [
+        ({"job1": 0.5}, r"round 1 mix probabilities sum to 0.5, expected 1"),
+        (
+            {"job1": 1.5, "job2": -0.5},
+            r"round 1 mix probability for 'job2' must be finite and >= 0, got -0.5",
+        ),
+    ],
+    ids=["sums-to-half", "negative-entry"],
+)
+def test_begin_round_rejects_a_mix_that_is_not_a_distribution(mix, message):
+    # built without load_spec, which checks the mixes a spec names
+    two_types = Topology(num_queues=2, routes={"job1": (0, 1), "job2": (0,)})
+    env = JacksonEnvironment(two_types, FixedWorkload(rate=2.0, mix=mix), quick_cfg())
+    env.reset(0)
+    with pytest.raises(ConfigurationError, match=message):
+        env.begin_round(1)
+
+
 def test_sim_config_rejects_an_initial_allocation_outside_the_box():
     bounds = r"is outside \[lower_bound, upper_bound\] = \[1.0, 60.0\]"
     with pytest.raises(ConfigurationError, match="initial_allocation: 0.0 " + bounds):
@@ -381,6 +402,24 @@ JACKSON_PRESETS = [
 ]
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 200, 5000])
+def test_job_types_are_drawn_as_rng_choice_draws_them(n):
+    mixes = [
+        (("a", "b", "c", "d"), {"a": 0.0, "b": 0.25, "c": 0.75, "d": 0.0}),  # zero entries
+    ]
+    for name in JACKSON_PRESETS:
+        env = load_spec(find_preset(name)).make_environment()
+        # variable-mix presets blend between rounds 40 and 90
+        for t in (1, 40, 41, 57, 73, 89, 90, 100):
+            mixes.append((env.topology.job_names, env.schedule.at(t)[1]))
+    ours, numpy_own = np.random.default_rng(n), np.random.default_rng(n)
+    for names, mix in mixes:  # one generator pair throughout, as consecutive windows share it
+        probs = np.array([mix.get(name, 0.0) for name in names])
+        kinds = _job_types(probs, n, ours)
+        assert np.array_equal(kinds, numpy_own.choice(len(names), size=n, p=probs))
+        assert ours.bit_generator.state == numpy_own.bit_generator.state
+
+
 def _reference_case(case):
     if case == "no-arrivals":
         return SINGLE, 1e-9, ONE_JOB, np.array([1.0]), quick_cfg()
@@ -471,8 +510,8 @@ class _ScriptedGenerator:
     def exponential(self, scale, size):
         return np.full(size, self.spacing)
 
-    def choice(self, a, size, p):
-        return np.zeros(size, dtype=np.int64)
+    def random(self, size):  # uniforms for the job types: all zero, so type 0
+        return np.zeros(size)
 
     def standard_exponential(self, size):
         self.block_sizes.append(size)
@@ -480,28 +519,40 @@ class _ScriptedGenerator:
 
 
 @pytest.mark.parametrize(
-    "horizon, draws, used, latency",
+    "horizon, draws, block_sizes, latency, departures",
     [
         # Job 0 holds queue 1 until t=3, with job 1 waiting; job 2 arrives at t=3.
         # Admitted first, job 2 starts at queue 0 with draw 3 (0.25) and job 1 at
         # queue 1 with draw 4 (0.125), so it leaves at 3.125 after 1.125; job 0
         # left after 2.0. Completion first would give job 1 draw 3, and 1.625.
-        (3.5, [0.25, 1.75, 0.5, 0.25, 0.125, 1.0], 6, (2.0 + 1.125) / 2),
+        (3.5, [0.25, 1.75, 0.5, 0.25, 0.125, 1.0], [6, 6], (2.0 + 1.125) / 2, 2),
         # At t=4.5 queue 0 finishes job 2, with job 3 waiting, and queue 1
         # finishes job 0, with job 1 waiting. Queue 0 goes first: job 3 takes
         # draw 4 (0.125) and job 1 draw 5 (0.0625), so job 1 leaves at 4.5625
         # after 2.5625; job 0 left after 3.5. Queue 1 first would give 3.0625.
-        (4.75, [0.25, 3.25, 0.375, 1.5, 0.125, 0.0625, 1.0, 2.0], 7, (3.5 + 2.5625) / 2),
+        (4.75, [0.25, 3.25, 0.375, 1.5, 0.125, 0.0625, 1.0, 2.0], [8, 7], (3.5 + 2.5625) / 2, 2),
+        # Jobs 0 and 1 arrive at t=1 and t=2, so the block holds four draws. Job 0
+        # leaves queue 1 at exactly t=3 after 2.0, which counts; job 1, waiting
+        # there since t=2.5, then starts with draw 3.
+        (3.0, [0.5, 1.5, 0.5, 0.5, 0.5, 0.5], [4, 4], 2.0, 1),
+        # Just short of t=3 the window ends before job 0 leaves: no departure.
+        (2.9999999999, [0.5, 1.5, 0.5, 0.5, 0.5, 0.5], [4, 3], math.nan, 0),
     ],
-    ids=["arrival-before-completion", "completions-in-queue-order"],
+    ids=[
+        "arrival-before-completion",
+        "completions-in-queue-order",
+        "departure-at-the-horizon",
+        "departure-past-the-horizon",
+    ],
 )
-def test_same_instant_events_follow_the_tie_rules(horizon, draws, used, latency):
+def test_same_instant_events_follow_the_tie_rules(horizon, draws, block_sizes, latency, departures):
     rng = _ScriptedGenerator(spacing=1.0, draws=draws)
     cfg = quick_cfg(warmup_seconds=0.0, measure_seconds=horizon)
     x = np.full(2, 1.0 - SERVICE_RATE_FLOOR)  # mean service time 1: each service lasts its draw
     obs = simulate_window(TANDEM, 1.0, ONE_JOB, x, cfg, rng)
-    assert obs == LatencyObservation(mean_latency=latency, departures=2)
-    assert rng.block_sizes == [len(draws), used]
+    assert obs.departures == departures
+    assert np.array_equal(obs.mean_latency, latency, equal_nan=True)
+    assert rng.block_sizes == block_sizes
 
 
 def test_a_reused_environment_plays_like_fresh_ones():
