@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,10 +28,15 @@ _SIM_STREAM = 1
 
 @dataclass(frozen=True)
 class Topology:
-    """Queue count plus one fixed route per job type; routes start at ENTRY_QUEUE."""
+    """Queue count plus one fixed route per job type; routes start at ENTRY_QUEUE.
+
+    is_tree is worked out from the routes: true when they form a tree rooted
+    at ENTRY_QUEUE, so that simulate_window can take its event-free pass.
+    """
 
     num_queues: int
     routes: dict[str, tuple[int, ...]]
+    is_tree: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.num_queues < 1:
@@ -57,6 +62,15 @@ class Topology:
                     raise ConfigurationError(f"{key}: visits queue {q} twice in a row")
             clean[str(name)] = route
         object.__setattr__(self, "routes", clean)
+        # a tree: no route re-enters the entry queue, and every other queue
+        # is entered from one queue at most
+        feeder = {}
+        tree = all(
+            following != ENTRY_QUEUE and feeder.setdefault(following, q) == q
+            for route in clean.values()
+            for q, following in zip(route, route[1:])
+        )
+        object.__setattr__(self, "is_tree", tree)
 
     @property
     def job_names(self) -> tuple[str, ...]:
@@ -218,26 +232,93 @@ def simulate_window(
 
     The network starts empty, warms up for warmup_seconds, then every job that
     completes its full route during the next measure_seconds contributes its
-    end-to-end sojourn. Zero such departures marks the window unstable.
+    end-to-end sojourn, and the mean is their math.fsum over their count, so
+    it does not depend on the order in which the departures are found. Zero
+    such departures marks the window unstable.
 
-    Events run in time order: an arrival at the same instant as a completion
-    is admitted first, and completions at the same instant go in queue order
-    (continuous draws make such ties a probability-zero event). A job routed
-    onward joins its next queue before the queue that its completion freed
-    starts its next job. The i-th service to start takes the i-th of one
-    block of standard exponentials, one per route visit of the window's jobs,
-    scaled by its queue's mean service time. Afterwards the generator is
-    rewound and advanced by exactly the draws used, so it ends where one
-    rng.exponential call per service start would leave it, and the window's
-    values are the same bit for bit.
+    The window draws its arrivals, then its job types (_job_types), then one
+    block of standard exponentials with one entry per route visit of its
+    jobs, in job order and then visit order: the k-th visit lasts the k-th
+    draw times its queue's mean service time, whenever it starts. The
+    generator advances by exactly these draws, so a window is a function of
+    its allocation and the generator state it starts from, and every
+    allocation leaves the generator in the same state.
+
+    Every queue serves first come, first served. When the routes form a tree
+    rooted at ENTRY_QUEUE (Topology.is_tree), every queue is fed by one
+    queue, or by the arrivals, and so sees its jobs in arrival order: one
+    pass over the jobs (_tree_pass) finds each completion by Lindley's
+    recursion. Any other network runs the event loop (_event_loop). Both
+    give the same values bit for bit wherever both apply.
+    """
+    window = _tree_pass if topology.is_tree else _event_loop
+    return window(topology, rate, mix, allocation, sim_cfg, rng)
+
+
+def _draw_window(topology, rate, mix, allocation, horizon, rng):
+    """(arrival times, job types, the queue of every route visit, its duration).
+
+    The visits run in job order and then visit order, and so do their
+    durations, drawn as one block of standard exponentials.
+    """
+    names = topology.job_names
+    routes = [topology.routes[name] for name in names]
+    arrivals = _poisson_arrivals(rate, horizon, rng)
+    # the mix was checked when its round began (JacksonEnvironment.begin_round)
+    kinds = _job_types(np.array([mix.get(name, 0.0) for name in names]), arrivals.shape[0], rng)
+    # one row per job: its route, padded with -1
+    width = max(len(route) for route in routes)
+    rows = np.array([route + (-1,) * (width - len(route)) for route in routes])[kinds]
+    queues = rows[rows >= 0]
+    # probes step outside the box, so near a lower_bound of 0 a probed
+    # allocation can be negative; its queue then serves at the floor rate
+    mean_service = 1.0 / (np.maximum(allocation, 0.0) + SERVICE_RATE_FLOOR)
+    durations = rng.standard_exponential(queues.shape[0]) * mean_service[queues]
+    return arrivals, kinds, queues, durations
+
+
+def _tree_pass(topology, rate, mix, allocation, sim_cfg, rng) -> LatencyObservation:
+    """simulate_window on a tree of routes: one pass over the jobs in arrival order.
+
+    On a tree every queue sees its jobs in arrival order, so a visit starts
+    at the later of the job's arrival there and the queue's last completion
+    (Lindley's recursion) and ends its duration later. Same-instant events
+    change nothing here: a queue's order is its single feeder's.
+    """
+    horizon = sim_cfg.warmup_seconds + sim_cfg.measure_seconds
+    measure_start = sim_cfg.warmup_seconds
+    arrivals, kinds, _, durations = _draw_window(topology, rate, mix, allocation, horizon, rng)
+    routes = [topology.routes[name] for name in topology.job_names]
+    duration = iter(durations.tolist())
+    last = [0.0] * topology.num_queues  # each queue's last completion
+    sojourns = []
+    for arrival, kind in zip(arrivals.tolist(), kinds.tolist()):
+        now = arrival
+        for q in routes[kind]:
+            if last[q] > now:
+                now = last[q]
+            now += next(duration)
+            last[q] = now
+        if measure_start <= now <= horizon:
+            sojourns.append(now - arrival)
+    return _observation(sojourns)
+
+
+def _event_loop(topology, rate, mix, allocation, sim_cfg, rng) -> LatencyObservation:
+    """simulate_window on any network: its events in time order.
+
+    An arrival at the same instant as a completion is admitted first, and
+    completions at the same instant go in queue order (continuous draws make
+    such ties a probability-zero event). A job routed onward joins its next
+    queue before the queue that its completion freed starts its next job.
 
     The window's route visits sit in one flat list, each job's visits
-    followed by a slot holding ~job; a queue's server and waiting line hold
-    list positions, so a completion reads the job's next visit, or its
-    departure, at the position after its current one. Three shortcuts leave
-    the event order, every draw and the generator's final state as they were
-    when each event was tested against the horizon, each completion popped
-    its entry and pushed the next ones, and rng.choice drew the job types:
+    followed by a slot holding ~job, next to one list of their durations; a
+    queue's server and waiting line hold list positions, so a completion
+    reads the job's next visit, or its departure, at the position after its
+    current one. Two shortcuts leave the event order as it is when each event
+    is tested against the horizon and each completion pops its entry and
+    pushes the next ones:
 
     - The horizon is one more heap entry, (horizon, num_queues): a
       pseudo-queue whose server holds the position before one extra slot,
@@ -249,44 +330,30 @@ def simulate_window(
       the freed queue's next service; only when neither comes is the entry
       popped, and only when both come is the second one pushed. Every entry
       has its own queue, so no two keys tie and the entries pop in the same
-      order; the routed job still takes its draw before the freed queue's
-      next job.
-    - Job types come from the mix's CDF and one rng.random block
-      (_job_types): rng.choice's own arithmetic without its per-call
-      argument checks, which JacksonEnvironment.begin_round runs once a
-      round instead.
+      order.
     """
-    names = topology.job_names
-    # probes step outside the box, so near a lower_bound of 0 a probed
-    # allocation can be negative; its queue then serves at the floor rate
-    service_rate = np.maximum(allocation, 0.0) + SERVICE_RATE_FLOOR
-    mean_service = (1.0 / service_rate).tolist()
     horizon = sim_cfg.warmup_seconds + sim_cfg.measure_seconds
-
-    arrivals = _poisson_arrivals(rate, horizon, rng)
+    arrivals, kinds, queues, durations = _draw_window(topology, rate, mix, allocation, horizon, rng)
     n = arrivals.shape[0]
-    # the mix was checked when its round began (JacksonEnvironment.begin_round)
-    kinds = _job_types(np.array([mix.get(name, 0.0) for name in names]), n, rng)
-    routes = [topology.routes[name] for name in names]
-    visit: list[int] = []
-    first = []  # each job's first visit, always to ENTRY_QUEUE
-    for job, kind in enumerate(kinds.tolist()):
-        first.append(len(visit))
-        visit += routes[kind]
-        visit.append(~job)
+    jobs = np.arange(n)
+    lengths = np.array([len(topology.routes[name]) for name in topology.job_names])[kinds]
+    slots = lengths.cumsum() + jobs  # each job's slot, just after its last visit
+    end = queues.shape[0] + n  # the horizon's slot, ~n: the only departure that is no job's
+    is_visit = np.ones(end + 1, dtype=bool)
+    is_visit[slots] = False
+    is_visit[end] = False
+    visit = np.empty(end + 1, dtype=np.intp)
+    visit[is_visit] = queues
+    visit[slots] = ~jobs
+    visit[end] = ~n
+    duration = np.zeros(end + 1)
+    duration[is_visit] = durations
+    visit, duration = visit.tolist(), duration.tolist()
+    first = (slots - lengths).tolist()  # each job's first visit, always to ENTRY_QUEUE
 
-    # every route visit starts one service, so the window needs at most cap draws
-    cap = len(visit) - n
-    saved_state = rng.bit_generator.state
-    draws = rng.standard_exponential(cap).tolist()
-    used = 0
-
-    end = len(visit)  # the horizon's slot, ~n: the only departure that is no job's
-    visit.append(~n)
     arrival_times = arrivals.tolist()
     arrival_times.append(math.inf)  # the sentinel after the last arrival
     entry = ENTRY_QUEUE
-    entry_mean = mean_service[entry]
     waiting = [deque() for _ in range(topology.num_queues)]
     entry_waiting = waiting[entry]
     in_service = [-1] * topology.num_queues
@@ -297,8 +364,7 @@ def simulate_window(
     next_arrival = 0
     arrival_time = arrival_times[0]
     measure_start = sim_cfg.warmup_seconds
-    total_sojourn = 0.0
-    departures = 0
+    sojourns = []
 
     while True:
         top = heap[0]
@@ -309,8 +375,7 @@ def simulate_window(
             arrival_time = arrival_times[next_arrival]
             if in_service[entry] < 0:
                 in_service[entry] = position
-                heappush(heap, (now + draws[used] * entry_mean, entry))
-                used += 1
+                heappush(heap, (now + duration[position], entry))
             else:
                 entry_waiting.append(position)
             continue
@@ -322,18 +387,15 @@ def simulate_window(
             if position == end:
                 break
             if now >= measure_start:
-                total_sojourn += now - arrival_times[~target]
-                departures += 1
+                sojourns.append(now - arrival_times[~target])
         elif in_service[target] < 0:
             # the routed job's entry takes the freed queue's place on the heap
             in_service[target] = position
-            heapreplace(heap, (now + draws[used] * mean_service[target], target))
-            used += 1
+            heapreplace(heap, (now + duration[position], target))
             line = waiting[freed]
             if line:
-                in_service[freed] = line.popleft()
-                heappush(heap, (now + draws[used] * mean_service[freed], freed))
-                used += 1
+                following = in_service[freed] = line.popleft()
+                heappush(heap, (now + duration[following], freed))
             else:
                 in_service[freed] = -1
             continue
@@ -341,17 +403,18 @@ def simulate_window(
             waiting[target].append(position)
         line = waiting[freed]
         if line:
-            in_service[freed] = line.popleft()
-            heapreplace(heap, (now + draws[used] * mean_service[freed], freed))
-            used += 1
+            following = in_service[freed] = line.popleft()
+            heapreplace(heap, (now + duration[following], freed))
         else:
             in_service[freed] = -1
             heappop(heap)
 
-    rng.bit_generator.state = saved_state
-    rng.standard_exponential(used)
+    return _observation(sojourns)
 
-    mean_latency = total_sojourn / departures if departures else math.nan
+
+def _observation(sojourns: list[float]) -> LatencyObservation:
+    departures = len(sojourns)
+    mean_latency = math.fsum(sojourns) / departures if departures else math.nan
     return LatencyObservation(mean_latency=mean_latency, departures=departures)
 
 

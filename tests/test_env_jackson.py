@@ -1,9 +1,9 @@
 """Queueing-network simulator and its online-round adapter.
 
-The statistical checks here average a handful of seeded windows and assert
-coarse directional facts (more capacity means less waiting, the bottleneck
-dominates); the M/M/1 calibration against closed-form values lives in the
-acceptance suite.
+The statistical checks here average seeded windows and assert coarse
+directional facts (more capacity means less waiting, the bottleneck
+dominates) and, on the two fixed presets, the Jackson product form within 5%;
+the M/M/1 and tandem calibration lives in the acceptance suite.
 """
 
 import heapq
@@ -27,8 +27,10 @@ from congo.env_jackson import (
     Topology,
     VariableMixWorkload,
     VariableRateWorkload,
+    _event_loop,
     _job_types,
     _poisson_arrivals,
+    _tree_pass,
     simulate_window,
 )
 from congo.scenario import find_preset, load_spec
@@ -321,11 +323,14 @@ def test_environment_runs_are_reproducible():
 
 
 def _per_event_reference(topology, rate, mix, allocation, sim_cfg, rng):
-    """The simulator's event loop as it was when it drew one rng.exponential per service start.
+    """The simulator as an event loop over jobs and their stages, written for clarity.
 
-    It breaks a tie between completions by push order (its seq), not by queue,
-    and real draws never tie, so comparing against it cannot catch a broken
-    tie rule; test_same_instant_events_follow_the_tie_rules pins those.
+    It draws one standard exponential per route visit of the window's jobs,
+    in job order and then visit order, and a service takes the draw at its
+    job's offset plus the job's stage. It breaks a tie between completions
+    by push order (its seq), not by queue, and real draws never tie, so
+    comparing against it cannot catch a broken tie rule;
+    test_same_instant_events_follow_the_tie_rules pins those.
     """
     names = topology.job_names
     service_rate = np.maximum(allocation, 0.0) + SERVICE_RATE_FLOOR
@@ -339,6 +344,10 @@ def _per_event_reference(topology, rate, mix, allocation, sim_cfg, rng):
     probs = np.array([mix.get(name, 0.0) for name in names])
     routes = [topology.routes[name] for name in names]
     job_type = rng.choice(len(names), size=n, p=probs)
+    offset = [0]
+    for kind in job_type:
+        offset.append(offset[-1] + len(routes[kind]))
+    draws = rng.standard_exponential(offset[-1])
 
     stage = np.zeros(n, dtype=np.int64)
     waiting = [deque() for _ in range(topology.num_queues)]
@@ -347,15 +356,14 @@ def _per_event_reference(topology, rate, mix, allocation, sim_cfg, rng):
     seq = 0
     next_arrival = 0
     measure_start = sim_cfg.warmup_seconds
-    total_sojourn = 0.0
-    departures = 0
-    exponential = rng.exponential
+    sojourns = []
 
     def begin_service(queue, job, now):
         nonlocal seq
         in_service[queue] = job
         seq += 1
-        heapq.heappush(heap, (now + exponential(mean_service[queue]), seq, queue))
+        duration = draws[offset[job] + stage[job]] * mean_service[queue]
+        heapq.heappush(heap, (now + duration, seq, queue))
 
     def enqueue(queue, job, now):
         if in_service[queue] < 0:
@@ -380,16 +388,15 @@ def _per_event_reference(topology, rate, mix, allocation, sim_cfg, rng):
             route = routes[job_type[job]]
             if stage[job] == len(route):
                 if now >= measure_start:
-                    total_sojourn += now - arrivals[job]
-                    departures += 1
+                    sojourns.append(now - arrivals[job])
             else:
                 enqueue(route[stage[job]], job, now)
             if waiting[queue]:
                 begin_service(queue, waiting[queue].popleft(), now)
 
-    if departures == 0:
+    if not sojourns:
         return float("nan"), 0
-    return total_sojourn / departures, departures
+    return math.fsum(sojourns) / len(sojourns), len(sojourns)
 
 
 JACKSON_PRESETS = [
@@ -497,6 +504,117 @@ def test_simulate_window_matches_the_reference_on_random_networks(network, seed)
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
+@pytest.mark.parametrize(
+    "topology, tree",
+    [
+        (SINGLE, True),
+        (TANDEM, True),
+        (Topology(num_queues=4, routes={"a": (0, 1, 2), "b": (0, 1, 3), "c": (0,)}), True),
+        (Topology(num_queues=2, routes={"a": (0, 1, 0)}), False),  # re-enters the entry queue
+        (Topology(num_queues=4, routes={"a": (0, 1, 3), "b": (0, 2, 3)}), False),  # 3 has two feeders
+        (Topology(num_queues=3, routes={"a": (0, 1, 2), "b": (0, 2)}), False),  # so has 2
+    ]
+    + [(name, name.startswith("jackson-large")) for name in JACKSON_PRESETS],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_a_topology_knows_whether_its_routes_form_a_tree(topology, tree):
+    if isinstance(topology, str):
+        topology = load_spec(find_preset(topology)).make_environment().topology
+    assert topology.is_tree is tree
+
+
+def _same_windows(first, second, topology, rate, mix, x, cfg, seed, windows):
+    """first and second agree bit for bit over consecutive windows from one seed."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(windows):  # consecutive windows share the generator, as oracle queries do
+        ours, theirs = first(topology, rate, mix, x, cfg, a), second(topology, rate, mix, x, cfg, b)
+        assert ours.departures == theirs.departures
+        assert np.array_equal(ours.mean_latency, theirs.mean_latency, equal_nan=True)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        f"{name}-{allocation}"
+        for name in JACKSON_PRESETS
+        if name.startswith("jackson-large")
+        for allocation in ("initial", "random", "low")
+    ],
+)
+def test_the_tree_pass_matches_the_event_loop_on_the_large_presets(case):
+    topology, rate, mix, x, cfg = _reference_case(case)
+    _same_windows(_tree_pass, _event_loop, topology, rate, mix, x, cfg, seed=11, windows=4)
+
+
+@st.composite
+def small_trees(draw):
+    """A random tree of 1-8 queues rooted at the entry queue, with 1-4 job types
+    whose routes run from the root to a queue (so they share prefixes)."""
+    num_queues = draw(st.integers(1, 8))
+    parent = [None] + [draw(st.integers(0, q - 1)) for q in range(1, num_queues)]
+    routes = {}
+    for k in range(draw(st.integers(1, 4))):
+        q, path = draw(st.integers(0, num_queues - 1)), []
+        while q is not None:
+            path.append(q)
+            q = parent[q]
+        routes[f"job{k}"] = tuple(reversed(path))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(routes), max_size=len(routes)))
+    weights[0] += 1  # at least one job type can arrive
+    mix = {name: w / sum(weights) for name, w in zip(routes, weights)}
+    rate = draw(st.floats(0.2, 6.0))
+    # down to negative allocations, which serve at the floor rate
+    allocation = np.array(draw(st.lists(st.floats(-1.0, 8.0), min_size=num_queues, max_size=num_queues)))
+    cfg = quick_cfg(
+        warmup_seconds=draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
+        measure_seconds=draw(st.floats(0.5, 4.0)),
+    )
+    return Topology(num_queues=num_queues, routes=routes), rate, mix, allocation, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(network=small_trees(), seed=st.integers(0, 2**32 - 1))
+def test_the_tree_pass_matches_the_event_loop_on_random_trees(network, seed):
+    topology, rate, mix, x, cfg = network
+    assert topology.is_tree
+    _same_windows(_tree_pass, _event_loop, topology, rate, mix, x, cfg, seed=seed, windows=3)
+
+
+@pytest.mark.parametrize("name", ["jackson-large-fixed", "jackson-complex-fixed"])
+def test_a_window_uses_the_generator_alike_at_every_allocation(name):
+    env = load_spec(find_preset(name)).make_environment()
+    rate, mix = env.schedule.at(1)
+    cfg = quick_cfg(warmup_seconds=0.0, measure_seconds=5.0)
+    # at allocation -1 every visit lasts 10 s on average: no job gets through in 5 s
+    stable, starved = env.reset(0), np.full(env.dim, -1.0)
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(3):
+        assert simulate_window(env.topology, rate, mix, stable, cfg, a).departures > 0
+        assert simulate_window(env.topology, rate, mix, starved, cfg, b).departures == 0
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["jackson-complex-fixed", "jackson-large-fixed"])
+def test_the_mean_latency_matches_the_product_form(name):
+    """Over 200 windows at the start allocation, the mean latency is within 5% of
+    the Jackson product form: sum over queues of v_q / (mu_q - rate * v_q), with
+    v_q the mean visits a job pays to queue q and mu_q its service rate."""
+    env = load_spec(find_preset(name)).make_environment()
+    rate, mix = env.schedule.at(1)
+    x = env.reset(0)
+    visits = np.zeros(env.dim)
+    for job, route in env.topology.routes.items():
+        for q in route:
+            visits[q] += mix.get(job, 0.0)
+    mu = x + SERVICE_RATE_FLOOR
+    analytic = float(np.sum(visits / (mu - rate * visits)))
+    rng = np.random.default_rng([0, 1])
+    windows = [simulate_window(env.topology, rate, mix, x, env.sim_cfg, rng) for _ in range(200)]
+    simulated = float(np.mean([w.mean_latency for w in windows]))
+    assert abs(simulated / analytic - 1.0) <= 0.05
+
+
 class _ScriptedGenerator:
     """Stands in for a Generator: arrivals every `spacing` seconds, all of job type 0,
     and `draws` as the window's block of service draws."""
@@ -505,7 +623,7 @@ class _ScriptedGenerator:
         self.spacing = spacing
         self.draws = draws
         self.bit_generator = SimpleNamespace(state=None)
-        self.block_sizes = []  # the block drawn, then the draws used on the rewind
+        self.block_sizes = []  # the service blocks drawn
 
     def exponential(self, scale, size):
         return np.full(size, self.spacing)
@@ -518,25 +636,29 @@ class _ScriptedGenerator:
         return np.array(self.draws[:size])
 
 
+LOOPED = Topology(num_queues=2, routes={"job1": (0, 1, 0)})  # re-enters the entry queue
+MERGING = Topology(num_queues=3, routes={"job1": (0, 1, 2, 1)})  # queues 0 and 2 feed queue 1
+
+
 @pytest.mark.parametrize(
-    "horizon, draws, block_sizes, latency, departures",
+    "topology, horizon, draws, latency, departures",
     [
-        # Job 0 holds queue 1 until t=3, with job 1 waiting; job 2 arrives at t=3.
-        # Admitted first, job 2 starts at queue 0 with draw 3 (0.25) and job 1 at
-        # queue 1 with draw 4 (0.125), so it leaves at 3.125 after 1.125; job 0
-        # left after 2.0. Completion first would give job 1 draw 3, and 1.625.
-        (3.5, [0.25, 1.75, 0.5, 0.25, 0.125, 1.0], [6, 6], (2.0 + 1.125) / 2, 2),
-        # At t=4.5 queue 0 finishes job 2, with job 3 waiting, and queue 1
-        # finishes job 0, with job 1 waiting. Queue 0 goes first: job 3 takes
-        # draw 4 (0.125) and job 1 draw 5 (0.0625), so job 1 leaves at 4.5625
-        # after 2.5625; job 0 left after 3.5. Queue 1 first would give 3.0625.
-        (4.75, [0.25, 3.25, 0.375, 1.5, 0.125, 0.0625, 1.0, 2.0], [8, 7], (3.5 + 2.5625) / 2, 2),
+        # Job 0 leaves queue 1 at t=3 to rejoin queue 0, busy with job 1 until
+        # t=3.5, just as job 2 arrives. Admitted first, job 2 starts at t=3.5
+        # with its draw 6 (0.25), and job 0 then takes its draw 2 (0.125) and
+        # leaves at 3.875 after 2.875. Completion first would give 2.625.
+        (LOOPED, 4.0, [0.5, 1.5, 0.125, 1.5, 1.0, 1.0, 0.25, 1.0, 1.0], 2.875, 1),
+        # At t=4 queue 0 finishes job 1 and queue 2 finishes job 0, both bound
+        # for the idle queue 1. Queue 0 goes first: job 1 starts there with its
+        # draw 5 (0.25), and job 0 then takes its draw 3 (0.125) and leaves at
+        # 4.375 after 3.375. Queue 2 first would give 3.125.
+        (MERGING, 4.5, [0.5, 0.5, 2.0, 0.125, 2.0, 0.25] + [1.0] * 10, 3.375, 1),
         # Jobs 0 and 1 arrive at t=1 and t=2, so the block holds four draws. Job 0
         # leaves queue 1 at exactly t=3 after 2.0, which counts; job 1, waiting
-        # there since t=2.5, then starts with draw 3.
-        (3.0, [0.5, 1.5, 0.5, 0.5, 0.5, 0.5], [4, 4], 2.0, 1),
+        # there since t=2.5, then starts with its draw 3.
+        (TANDEM, 3.0, [0.5, 1.5, 0.5, 0.5], 2.0, 1),
         # Just short of t=3 the window ends before job 0 leaves: no departure.
-        (2.9999999999, [0.5, 1.5, 0.5, 0.5, 0.5, 0.5], [4, 3], math.nan, 0),
+        (TANDEM, 2.9999999999, [0.5, 1.5, 0.5, 0.5], math.nan, 0),
     ],
     ids=[
         "arrival-before-completion",
@@ -545,14 +667,16 @@ class _ScriptedGenerator:
         "departure-past-the-horizon",
     ],
 )
-def test_same_instant_events_follow_the_tie_rules(horizon, draws, block_sizes, latency, departures):
+@pytest.mark.parametrize("window", [simulate_window, _event_loop], ids=["window", "event-loop"])
+def test_same_instant_events_follow_the_tie_rules(window, topology, horizon, draws, latency, departures):
     rng = _ScriptedGenerator(spacing=1.0, draws=draws)
     cfg = quick_cfg(warmup_seconds=0.0, measure_seconds=horizon)
-    x = np.full(2, 1.0 - SERVICE_RATE_FLOOR)  # mean service time 1: each service lasts its draw
-    obs = simulate_window(TANDEM, 1.0, ONE_JOB, x, cfg, rng)
+    # mean service time 1: each service lasts its draw
+    x = np.full(topology.num_queues, 1.0 - SERVICE_RATE_FLOOR)
+    obs = window(topology, 1.0, ONE_JOB, x, cfg, rng)
     assert obs.departures == departures
     assert np.array_equal(obs.mean_latency, latency, equal_nan=True)
-    assert rng.block_sizes == block_sizes
+    assert rng.block_sizes == [len(draws)]  # one block, one draw per route visit
 
 
 def test_a_reused_environment_plays_like_fresh_ones():
