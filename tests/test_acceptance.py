@@ -5,8 +5,9 @@ terminal section after the run). Criteria 03-06 and 10 run packaged presets,
 so editing a preset moves its criterion. The gradient-error sweep is computed
 once in a module fixture and shared by the criteria that read it; per-m
 timings are kept so each criterion's runtime budget covers only its own work.
-The seed grids run through run_experiment on os.cpu_count() forked workers;
-by the determinism contract their results do not depend on the worker count.
+The seed grids run through run_experiment on os.cpu_count() processes, the
+caller and its forked children; by the determinism contract their results do
+not depend on the process count.
 """
 
 import dataclasses
@@ -321,7 +322,7 @@ def test_criterion_09_invariants(criterion_report, tmp_path):
         budgets_ok = budgets_ok and total == per_round * T
         assert total == per_round * T, f"{name}: {total} != {per_round * T}"
 
-    # byte-identical artifacts on re-run, independent of the worker count
+    # byte-identical artifacts on re-run, independent of the process count
     spec = ExperimentSpec(name="det", kind="quadratic", horizon=5, seeds=(0, 1, 2),
                           make_environment=lambda: QuadraticAdversary(toy),
                           optimizers=[configs[n] for n in ("gd", "congo-e", "gdsp")])

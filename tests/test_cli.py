@@ -1,7 +1,6 @@
 """Command-line exit codes, the modules a run imports, and the README's examples."""
 
 import csv
-import multiprocessing
 import os
 import re
 import shlex
@@ -415,16 +414,21 @@ def test_no_code_path_imports_scipy(tmp_path):
     assert last_line_of_fresh_run(RUN_EVERY_ROOT_FINDER, *map(str, specs), str(tmp_path / "out")) == "[]"
 
 
-def test_a_serial_run_never_imports_the_process_pool(tmp_path):
-    # only --jobs above 1 starts worker processes, so only it loads their modules
-    assert modules_after_run(JACKSON, "multiprocessing,concurrent", tmp_path, "--jobs", "1") == "[]"
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_serial_run_never_imports_the_process_pool(tmp_path, jobs):
+    # two seeds, so --jobs 2 forks a child on a multi-core host: with os.fork,
+    # not through multiprocessing
+    flags = ("--seeds", "0-1", "--jobs", jobs)
+    assert modules_after_run(JACKSON, "multiprocessing,concurrent", tmp_path, *flags) == "[]"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("base", [QUADRATIC, JACKSON], ids=["quadratic", "jackson"])
-def test_a_plotted_run_loads_no_network_module(base, tmp_path):
-    # a run writes its plot by hand; at --jobs 1 nothing needs xml, http,
-    # email, ssl or socket (the process pool itself loads socket)
-    assert modules_after_run(base, "xml,http,email,ssl,socket", tmp_path, "--jobs", "1") == "[]"
+def test_a_plotted_run_loads_no_network_module(base, tmp_path, jobs):
+    # a run writes its plot by hand, and forks its children without a
+    # process pool, so nothing needs xml, http, email, ssl or socket
+    flags = ("--seeds", "0-1", "--jobs", jobs)
+    assert modules_after_run(base, "xml,http,email,ssl,socket", tmp_path, *flags) == "[]"
 
 
 # a cut Jackson spec: two seeds of two optimizers, so --jobs 2 and 4 both fan out
@@ -432,14 +436,15 @@ FAN_OUT = JACKSON.replace("seeds = 0", "seeds = 0-1").replace("optimizers = cong
 
 
 def test_raw_csv_is_byte_identical_across_jobs_and_leaves_no_worker(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # --jobs 4 starts 4 workers on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # --jobs 4 forks 3 children on any host
     spec = tmp_path / "spec.cfg"
     spec.write_text(FAN_OUT)
     raw = {}
     for jobs in (1, 2, 4):
         out = tmp_path / f"jobs{jobs}"
         assert main(["run", str(spec), "--out", str(out), "--jobs", str(jobs), "--no-plot"]) == 0
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # no child is left, running or exited
+            os.waitpid(-1, os.WNOHANG)
         raw[jobs] = (out / "raw.csv").read_bytes()
     assert raw[2] == raw[1] and raw[4] == raw[1]
     assert raw[1].count(b"\n") == 1 + 2 * 2 * 2  # header, then 2 optimizers x 2 seeds x 2 rounds

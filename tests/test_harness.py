@@ -1,9 +1,8 @@
 """Experiment runner, CSV artifacts, and the SVG plot."""
 
-import concurrent.futures
 import functools
-import multiprocessing
 import os
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -101,6 +100,12 @@ def quad_spec(optimizers, seeds=(0, 1), horizon=5):
     )
 
 
+def assert_no_child_left():
+    # waitpid(-1) raises only when this process has no child at all, running or exited
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def read_csv(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")
@@ -152,19 +157,19 @@ def test_raw_csv_floats_round_trip_exactly(tmp_path):
 
 
 def test_rerun_is_byte_identical_across_jobs(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # 4 worker processes on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # 4 processes on any host
     spec = quad_spec([opt("congo-e"), opt("congo-z")], seeds=(0, 1, 2))
     run_experiment(spec, output_dir=tmp_path / "serial", jobs=1, plot=False)
-    run_experiment(spec, output_dir=tmp_path / "pooled", jobs=4, plot=False)
+    run_experiment(spec, output_dir=tmp_path / "forked", jobs=4, plot=False)
     serial = (tmp_path / "serial" / "raw.csv").read_bytes()
-    pooled = (tmp_path / "pooled" / "raw.csv").read_bytes()
-    assert serial == pooled
+    forked = (tmp_path / "forked" / "raw.csv").read_bytes()
+    assert serial == forked
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_results_equal_the_online_records_bit_for_bit(monkeypatch, jobs):
     # the acceptance battery reads its statistics from these arrays
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 starts a pool on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 forks a child on any host
     env_cfg = QuadraticAdversaryConfig(dimension=50, sparsity=5, radius=50.0)
     optimizers = [
         OptimizerConfig(name=name, schedule=ConstantRate(0.1), delta=1e-5, sparsity=5, m=24,
@@ -193,32 +198,33 @@ def test_run_results_equal_the_online_records_bit_for_bit(monkeypatch, jobs):
         assert run.clipped.tobytes() == np.array([r.clipped for r in records], dtype=bool).tobytes()
 
 
-# (--jobs, os.cpu_count(), seeds, pool sizes started): 3 optimizers per seed
-@pytest.mark.parametrize("jobs, cores, seeds, pools", [
-    (4, 2, (0, 1), [2]),
-    (2, 8, (0, 1), [2]),
-    (8, 8, (0,), [3]),
-    (4, 1, (0, 1), []),
-    (1, 8, (0, 1), []),
+# (--jobs, os.cpu_count(), seeds, children forked): 3 optimizers per seed
+@pytest.mark.parametrize("jobs, cores, seeds, children", [
+    (4, 2, (0, 1), 1),
+    (2, 8, (0, 1), 1),
+    (8, 8, (0,), 2),
+    (4, 1, (0, 1), 0),
+    (1, 8, (0, 1), 0),
 ])
-def test_process_pool_never_exceeds_cores_or_runs(monkeypatch, jobs, cores, seeds, pools):
-    started = []
+def test_process_pool_never_exceeds_cores_or_runs(monkeypatch, jobs, cores, seeds, children):
+    forks = []
+    real_fork = os.fork
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def recording_fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     table = run_experiment(quad_spec([opt("gd"), opt("congo-e"), opt("gdsp")], seeds=seeds), jobs=jobs)
-    assert started == pools
+    assert forks == [os.getpid()] * children  # the calling process plays runs too
     assert len(table.runs) == 3 * len(seeds)
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_run_that_raises_stops_the_experiment(tmp_path, monkeypatch, jobs):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 starts a pool on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 forks a child on any host
     spec = ExperimentSpec(
         name="mixed",
         kind="quadratic",
@@ -229,11 +235,85 @@ def test_a_run_that_raises_stops_the_experiment(tmp_path, monkeypatch, jobs):
     )
     with pytest.raises(ConfigurationError) as raised:
         run_experiment(spec, output_dir=tmp_path, jobs=jobs, plot=False)
-    # a worker's error comes back with its own type and message
+    # the error comes back with its own type and message, whichever process raised it
     assert type(raised.value) is ConfigurationError
     assert str(raised.value) == "gd needs an environment with exact gradients"
     assert not (tmp_path / "raw.csv").exists()
-    assert multiprocessing.active_children() == []  # no worker outlives the failed call
+    assert_no_child_left()
+
+
+def wait_for(path, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"{path} never appeared")
+        time.sleep(0.001)
+
+
+@pytest.mark.parametrize("raiser", ["caller", "child"])
+def test_an_error_in_either_process_stops_the_grid_and_reaps_every_child(tmp_path, monkeypatch, raiser):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 forks a child on any host
+    caller, started = os.getpid(), tmp_path / "child-started"
+
+    class FailingEnv(TinyQuadEnv):
+        def reset(self, seed):
+            if os.getpid() != caller:
+                started.touch()
+                if raiser == "child":
+                    raise ConfigurationError("a child's run failed")
+                time.sleep(0.2)  # still mid-run when the caller raises
+            else:
+                wait_for(started)  # the child has surely claimed a run
+                if raiser == "caller":
+                    raise ConfigurationError("the caller's run failed")
+            return super().reset(seed)
+
+    spec = quad_spec([opt("gd"), opt("congo-e")], seeds=(0, 1))
+    spec.make_environment = FailingEnv
+    with pytest.raises(ConfigurationError) as raised:
+        run_experiment(spec, output_dir=tmp_path / "out", jobs=2)
+    if raiser == "child":
+        assert str(raised.value) == "a child's run failed"
+        # the child's traceback rides along as the cause
+        assert "in run process" in str(raised.value.__cause__) and "in reset" in str(raised.value.__cause__)
+    else:
+        assert str(raised.value) == "the caller's run failed"
+    assert not (tmp_path / "out").exists()
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_without_reporting_fails_the_call(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 forks a child on any host
+    caller, started = os.getpid(), tmp_path / "child-started"
+
+    class DyingEnv(TinyQuadEnv):
+        def reset(self, seed):
+            if os.getpid() != caller:
+                started.touch()
+                os._exit(3)  # dies mid-run, as a killed child would
+            wait_for(started)  # the child has surely claimed a run
+            return super().reset(seed)
+
+    spec = quad_spec([opt("gd"), opt("congo-e")], seeds=(0, 1))
+    spec.make_environment = DyingEnv
+    with pytest.raises(RuntimeError, match=r"^run process \d+ exited with status 3 before reporting its runs$"):
+        run_experiment(spec, output_dir=tmp_path / "out", jobs=2)
+    assert not (tmp_path / "out").exists()
+    assert_no_child_left()
+
+
+def test_more_processes_than_cores_play_each_run_once(monkeypatch):
+    # 4 processes race for 800 one-round runs; a lost update of the shared claim
+    # counter would play a run twice and drop another
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    spec = quad_spec([opt("gd"), opt("nsgd")], seeds=tuple(range(400)), horizon=1)
+    start = time.monotonic()
+    table = run_experiment(spec, jobs=4)
+    assert time.monotonic() - start < 30.0
+    assert [(r.optimizer, r.seed) for r in table.runs] == [
+        (name, seed) for name in ("gd", "nsgd") for seed in range(400)
+    ]
+    assert_no_child_left()
 
 
 def test_missing_gradient_and_nan_cost_columns(tmp_path):
@@ -307,19 +387,19 @@ def test_duplicate_seeds_are_rejected(tmp_path):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_each_process_builds_one_environment(tmp_path, monkeypatch, jobs):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 starts a pool on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 forks a child on any host
     log = tmp_path / "built"
     log.touch()
 
     def make():
-        with log.open("a") as f:  # a file, so that a build in a worker shows too
+        with log.open("a") as f:  # a file, so that a build in a child shows too
             f.write(f"{os.getpid()}\n")
         return TinyQuadEnv()
 
     spec = quad_spec([opt("gd"), opt("congo-e"), opt("gdsp")], seeds=(0, 1, 2))
     spec.make_environment = make
     table = run_experiment(spec, jobs=jobs)
-    # built once, in this process; a forked worker inherits its own copy
+    # built once, in this process; a forked child inherits its own copy
     assert log.read_text().split() == [str(os.getpid())]
     assert [(r.optimizer, r.seed) for r in table.runs] == [
         (name, seed) for name in ("congo-e", "gd", "gdsp") for seed in (0, 1, 2)
