@@ -30,13 +30,20 @@ _SIM_STREAM = 1
 class Topology:
     """Queue count plus one fixed route per job type; routes start at ENTRY_QUEUE.
 
-    is_tree is worked out from the routes: true when they form a tree rooted
-    at ENTRY_QUEUE, so that simulate_window can take its event-free pass.
+    The other fields are worked out from the routes, once, and take no part in
+    comparisons: is_tree is true when the routes form a tree rooted at
+    ENTRY_QUEUE, so that simulate_window can take its event-free pass;
+    reenters_entry is true when a route comes back to ENTRY_QUEUE;
+    route_table holds one row per job type, its route padded with -1, and
+    route_lengths the routes' lengths.
     """
 
     num_queues: int
     routes: dict[str, tuple[int, ...]]
-    is_tree: bool = field(init=False, repr=False)
+    is_tree: bool = field(init=False, repr=False, compare=False)
+    reenters_entry: bool = field(init=False, repr=False, compare=False)
+    route_table: np.ndarray = field(init=False, repr=False, compare=False)
+    route_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_queues < 1:
@@ -62,15 +69,21 @@ class Topology:
                     raise ConfigurationError(f"{key}: visits queue {q} twice in a row")
             clean[str(name)] = route
         object.__setattr__(self, "routes", clean)
+        reenters = any(ENTRY_QUEUE in route[1:] for route in clean.values())
         # a tree: no route re-enters the entry queue, and every other queue
         # is entered from one queue at most
         feeder = {}
-        tree = all(
-            following != ENTRY_QUEUE and feeder.setdefault(following, q) == q
+        tree = not reenters and all(
+            feeder.setdefault(following, q) == q
             for route in clean.values()
             for q, following in zip(route, route[1:])
         )
+        lengths = [len(route) for route in clean.values()]
+        table = [route + (-1,) * (max(lengths) - len(route)) for route in clean.values()]
         object.__setattr__(self, "is_tree", tree)
+        object.__setattr__(self, "reenters_entry", reenters)
+        object.__setattr__(self, "route_table", np.array(table))
+        object.__setattr__(self, "route_lengths", np.array(lengths))
 
     @property
     def job_names(self) -> tuple[str, ...]:
@@ -248,8 +261,12 @@ def simulate_window(
     rooted at ENTRY_QUEUE (Topology.is_tree), every queue is fed by one
     queue, or by the arrivals, and so sees its jobs in arrival order: one
     pass over the jobs (_tree_pass) finds each completion by Lindley's
-    recursion. Any other network runs the event loop (_event_loop). Both
-    give the same values bit for bit wherever both apply.
+    recursion. Any other network runs the event loop (_event_loop). Unless a
+    route re-enters ENTRY_QUEUE, that queue too sees its jobs in arrival
+    order, so the same recursion serves it before the loop starts, and the
+    loop takes the jobs in as they leave it; otherwise it takes them in as
+    they arrive. All of these give the same values bit for bit wherever they
+    apply, same-instant events included.
     """
     window = _tree_pass if topology.is_tree else _event_loop
     return window(topology, rate, mix, allocation, sim_cfg, rng)
@@ -261,14 +278,11 @@ def _draw_window(topology, rate, mix, allocation, horizon, rng):
     The visits run in job order and then visit order, and so do their
     durations, drawn as one block of standard exponentials.
     """
-    names = topology.job_names
-    routes = [topology.routes[name] for name in names]
     arrivals = _poisson_arrivals(rate, horizon, rng)
     # the mix was checked when its round began (JacksonEnvironment.begin_round)
-    kinds = _job_types(np.array([mix.get(name, 0.0) for name in names]), arrivals.shape[0], rng)
-    # one row per job: its route, padded with -1
-    width = max(len(route) for route in routes)
-    rows = np.array([route + (-1,) * (width - len(route)) for route in routes])[kinds]
+    probs = np.array([mix.get(name, 0.0) for name in topology.job_names])
+    kinds = _job_types(probs, arrivals.shape[0], rng)
+    rows = topology.route_table[kinds]  # one row per job: its route, padded with -1
     queues = rows[rows >= 0]
     # probes step outside the box, so near a lower_bound of 0 a probed
     # allocation can be negative; its queue then serves at the floor rate
@@ -288,7 +302,7 @@ def _tree_pass(topology, rate, mix, allocation, sim_cfg, rng) -> LatencyObservat
     horizon = sim_cfg.warmup_seconds + sim_cfg.measure_seconds
     measure_start = sim_cfg.warmup_seconds
     arrivals, kinds, _, durations = _draw_window(topology, rate, mix, allocation, horizon, rng)
-    routes = [topology.routes[name] for name in topology.job_names]
+    routes = list(topology.routes.values())
     duration = iter(durations.tolist())
     last = [0.0] * topology.num_queues  # each queue's last completion
     sojourns = []
@@ -312,6 +326,16 @@ def _event_loop(topology, rate, mix, allocation, sim_cfg, rng) -> LatencyObserva
     such ties a probability-zero event). A job routed onward joins its next
     queue before the queue that its completion freed starts its next job.
 
+    Jobs come in from one stream, sorted by time. When no route re-enters
+    ENTRY_QUEUE, that queue sees its jobs in arrival order, so one pass of
+    Lindley's recursion before the loop finds each job's exit from it, and
+    the stream holds these exits: a job comes in at its second visit, or
+    leaves if its route is ENTRY_QUEUE alone. When a route re-enters it, the
+    stream holds the arrivals, at their first visit. The stream goes before
+    any completion due at the same instant, so the tie rule needs nothing
+    more: arrivals went first before, and an exit from ENTRY_QUEUE was a
+    completion of the lowest-numbered queue.
+
     The window's route visits sit in one flat list, each job's visits
     followed by a slot holding ~job, next to one list of their durations; a
     queue's server and waiting line hold list positions, so a completion
@@ -324,7 +348,8 @@ def _event_loop(topology, rate, mix, allocation, sim_cfg, rng) -> LatencyObserva
       pseudo-queue whose server holds the position before one extra slot,
       ~n, and the loop ends when that slot's departure comes up. A real
       completion due exactly at the horizon sorts ahead of it by its lower
-      queue number, and every arrival falls before the horizon.
+      queue number, the stream by going first, and every arrival falls
+      before the horizon.
     - A completion replaces its heap entry in one operation: with the
       routed job's service when the job moves on to an idle queue, else with
       the freed queue's next service; only when neither comes is the entry
@@ -336,7 +361,7 @@ def _event_loop(topology, rate, mix, allocation, sim_cfg, rng) -> LatencyObserva
     arrivals, kinds, queues, durations = _draw_window(topology, rate, mix, allocation, horizon, rng)
     n = arrivals.shape[0]
     jobs = np.arange(n)
-    lengths = np.array([len(topology.routes[name]) for name in topology.job_names])[kinds]
+    lengths = topology.route_lengths[kinds]
     slots = lengths.cumsum() + jobs  # each job's slot, just after its last visit
     end = queues.shape[0] + n  # the horizon's slot, ~n: the only departure that is no job's
     is_visit = np.ones(end + 1, dtype=bool)
@@ -348,36 +373,46 @@ def _event_loop(topology, rate, mix, allocation, sim_cfg, rng) -> LatencyObserva
     visit[end] = ~n
     duration = np.zeros(end + 1)
     duration[is_visit] = durations
-    visit, duration = visit.tolist(), duration.tolist()
-    first = (slots - lengths).tolist()  # each job's first visit, always to ENTRY_QUEUE
+    first = slots - lengths  # each job's first visit, always to ENTRY_QUEUE
 
     arrival_times = arrivals.tolist()
-    arrival_times.append(math.inf)  # the sentinel after the last arrival
-    entry = ENTRY_QUEUE
+    if topology.reenters_entry:
+        stream_times, stream = arrival_times, first.tolist()
+    else:
+        stream_times, stream = [], (first + 1).tolist()
+        done = 0.0  # ENTRY_QUEUE's last completion
+        for arrival, service in zip(arrival_times, duration[first].tolist()):
+            done = (arrival if arrival > done else done) + service
+            stream_times.append(done)
+    stream_times.append(math.inf)  # the sentinel after the last job
+    visit, duration = visit.tolist(), duration.tolist()
     waiting = [deque() for _ in range(topology.num_queues)]
-    entry_waiting = waiting[entry]
     in_service = [-1] * topology.num_queues
     in_service.append(end - 1)  # the horizon pseudo-queue "serves" up to its slot
     # (completion time, queue): a queue has at most one pending completion
     heap: list[tuple[float, int]] = [(horizon, topology.num_queues)]
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    next_arrival = 0
-    arrival_time = arrival_times[0]
+    taken = 0  # stream entries taken in
+    stream_time = stream_times[0]
     measure_start = sim_cfg.warmup_seconds
     sojourns = []
 
     while True:
         top = heap[0]
-        if arrival_time <= top[0]:  # ties: arrivals join before services finish
-            now = arrival_time
-            position = first[next_arrival]
-            next_arrival += 1
-            arrival_time = arrival_times[next_arrival]
-            if in_service[entry] < 0:
-                in_service[entry] = position
-                heappush(heap, (now + duration[position], entry))
+        if stream_time <= top[0]:  # ties: the stream goes before any completion
+            now = stream_time
+            position = stream[taken]
+            taken += 1
+            stream_time = stream_times[taken]
+            target = visit[position]
+            if target < 0:  # a job routed through ENTRY_QUEUE alone leaves
+                if now >= measure_start:
+                    sojourns.append(now - arrival_times[~target])
+            elif in_service[target] < 0:
+                in_service[target] = position
+                heappush(heap, (now + duration[position], target))
             else:
-                entry_waiting.append(position)
+                waiting[target].append(position)
             continue
 
         now, freed = top

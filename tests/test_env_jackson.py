@@ -6,6 +6,8 @@ dominates) and, on the two fixed presets, the Jackson product form within 5%;
 the M/M/1 and tandem calibration lives in the acceptance suite.
 """
 
+import dataclasses
+import hashlib
 import heapq
 import math
 from collections import deque
@@ -13,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congo.core import ConfigurationError
@@ -37,6 +39,10 @@ from congo.scenario import find_preset, load_spec
 
 TANDEM = Topology(num_queues=2, routes={"job1": (0, 1)})
 SINGLE = Topology(num_queues=1, routes={"job1": (0,)})
+LOOPED = Topology(num_queues=2, routes={"job1": (0, 1, 0)})  # re-enters the entry queue
+MERGING = Topology(num_queues=3, routes={"job1": (0, 1, 2, 1)})  # queues 0 and 2 feed queue 1
+# queues 0 and 1 feed queue 2, and job1 leaves from the entry queue
+ENTRY_ONLY = Topology(num_queues=3, routes={"job1": (0,), "job2": (0, 1, 2), "job3": (0, 2)})
 ONE_JOB = {"job1": 1.0}
 
 
@@ -468,6 +474,33 @@ def test_simulate_window_matches_the_per_event_reference(case):
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
+# the windows that every packaged Jackson preset plays, as one hash
+WINDOW_DIGEST = "0e1a764a0ccac056403bf3a5f5bc4113aee5625798fe516454780e69f5a0e218"
+
+
+def test_windows_are_bit_identical_to_the_recorded_digest():
+    """Eight consecutive windows from default_rng(11) on every packaged Jackson
+    preset, at its start, random and low allocations, hash to WINDOW_DIGEST: a
+    sha256 over float.hex of each mean latency, each departure count and each
+    case's final generator state.
+
+    A window uses no BLAS, only exact elementwise operations, a sequential
+    cumsum and the Generator stream, so the digest does not depend on the host.
+    Re-record it only in a change that moves the draw order, and say so in
+    CHANGES.md.
+    """
+    digest = hashlib.sha256()
+    for name in JACKSON_PRESETS:
+        for allocation in ("initial", "random", "low"):
+            topology, rate, mix, x, cfg = _reference_case(f"{name}-{allocation}")
+            rng = np.random.default_rng(11)
+            for _ in range(8):
+                obs = simulate_window(topology, rate, mix, x, cfg, rng)
+                digest.update(f"{obs.mean_latency.hex()} {obs.departures}\n".encode())
+            digest.update(repr(rng.bit_generator.state).encode())
+    assert digest.hexdigest() == WINDOW_DIGEST
+
+
 @st.composite
 def small_networks(draw):
     """A random network of 1-6 queues and 1-4 job types, with its workload and allocation."""
@@ -493,6 +526,29 @@ def small_networks(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(network=small_networks(), seed=st.integers(0, 2**32 - 1))
+# not a tree and never back at the entry queue: the loop takes jobs in as they
+# leave it, and job1 leaves the network there
+@example(
+    network=(
+        ENTRY_ONLY,
+        3.0,
+        {"job1": 0.4, "job2": 0.3, "job3": 0.3},
+        np.array([4.0, 2.0, 3.0]),
+        quick_cfg(warmup_seconds=0.0),
+    ),
+    seed=0,
+)
+# back at the entry queue: the loop takes jobs in as they arrive
+@example(
+    network=(
+        Topology(num_queues=3, routes={"job0": (0, 1, 0, 2), "job1": (0, 2, 1)}),
+        2.0,
+        {"job0": 0.5, "job1": 0.5},
+        np.array([6.0, 3.0, 4.0]),
+        quick_cfg(),
+    ),
+    seed=1,
+)
 def test_simulate_window_matches_the_reference_on_random_networks(network, seed):
     topology, rate, mix, x, cfg = network
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -521,6 +577,42 @@ def test_a_topology_knows_whether_its_routes_form_a_tree(topology, tree):
     if isinstance(topology, str):
         topology = load_spec(find_preset(topology)).make_environment().topology
     assert topology.is_tree is tree
+
+
+@pytest.mark.parametrize(
+    "topology, reenters",
+    [
+        (SINGLE, False),
+        (TANDEM, False),
+        (LOOPED, True),
+        (MERGING, False),
+        (ENTRY_ONLY, False),
+        (Topology(num_queues=3, routes={"a": (0, 1, 2), "b": (0,), "c": (0, 2, 0, 1)}), True),
+    ]
+    + [(name, False) for name in JACKSON_PRESETS],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_a_topology_tabulates_its_routes(topology, reenters):
+    if isinstance(topology, str):
+        topology = load_spec(find_preset(topology)).make_environment().topology
+    routes = list(topology.routes.values())
+    assert topology.reenters_entry is reenters
+    assert topology.route_lengths.tolist() == [len(route) for route in routes]
+    width = max(len(route) for route in routes)
+    assert topology.route_table.shape == (len(routes), width)
+    for row, route in zip(topology.route_table.tolist(), routes):
+        assert row == list(route) + [-1] * (width - len(route))
+
+
+def test_equal_topologies_compare_equal_whatever_they_work_out():
+    routes = {"a": (0, 1, 2), "b": (0,), "c": (0, 2, 0, 1)}
+    first, second = Topology(num_queues=3, routes=routes), Topology(num_queues=3, routes=dict(routes))
+    assert first == second
+    assert first != Topology(num_queues=4, routes=routes)
+    assert first != Topology(num_queues=3, routes={**routes, "b": (0, 1)})
+    # the worked-out fields (route_table is an array) stay out of == and out of
+    # the hash, which follows == (Topology does not hash: routes is a dict)
+    assert [f.name for f in dataclasses.fields(Topology) if f.compare] == ["num_queues", "routes"]
 
 
 def _same_windows(first, second, topology, rate, mix, x, cfg, seed, windows):
@@ -636,10 +728,6 @@ class _ScriptedGenerator:
         return np.array(self.draws[:size])
 
 
-LOOPED = Topology(num_queues=2, routes={"job1": (0, 1, 0)})  # re-enters the entry queue
-MERGING = Topology(num_queues=3, routes={"job1": (0, 1, 2, 1)})  # queues 0 and 2 feed queue 1
-
-
 @pytest.mark.parametrize(
     "topology, horizon, draws, latency, departures",
     [
@@ -659,12 +747,20 @@ MERGING = Topology(num_queues=3, routes={"job1": (0, 1, 2, 1)})  # queues 0 and 
         (TANDEM, 3.0, [0.5, 1.5, 0.5, 0.5], 2.0, 1),
         # Just short of t=3 the window ends before job 0 leaves: no departure.
         (TANDEM, 2.9999999999, [0.5, 1.5, 0.5, 0.5], math.nan, 0),
+        # Not a tree, so the event loop runs, with the entry queue served
+        # before it: job 0 leaves queue 0 at exactly t=3 after 2.0, which
+        # counts; job 1 starts there at t=3 and leaves past the horizon.
+        (ENTRY_ONLY, 3.0, [2.0, 0.5], 2.0, 1),
+        # Just short of t=3 the window ends before job 0 leaves queue 0.
+        (ENTRY_ONLY, 2.9999999999, [2.0, 0.5], math.nan, 0),
     ],
     ids=[
         "arrival-before-completion",
         "completions-in-queue-order",
         "departure-at-the-horizon",
         "departure-past-the-horizon",
+        "entry-departure-at-the-horizon",
+        "entry-departure-past-the-horizon",
     ],
 )
 @pytest.mark.parametrize("window", [simulate_window, _event_loop], ids=["window", "event-loop"])
