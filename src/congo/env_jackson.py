@@ -249,34 +249,43 @@ def simulate_window(
     it does not depend on the order in which the departures are found. Zero
     such departures marks the window unstable.
 
-    The window draws its arrivals, then its job types (_job_types), then one
-    block of standard exponentials with one entry per route visit of its
-    jobs, in job order and then visit order: the k-th visit lasts the k-th
+    The window is drawn once (_draw_window), without the allocation, and the
+    allocation enters in one place: the k-th route visit lasts the k-th unit
     draw times its queue's mean service time, whenever it starts. The
-    generator advances by exactly these draws, so a window is a function of
-    its allocation and the generator state it starts from, and every
-    allocation leaves the generator in the same state.
+    generator advances by the draw alone, so a window is a function of its
+    allocation and the generator state it starts from, and every allocation
+    leaves the generator in the same state.
 
-    Every queue serves first come, first served. When the routes form a tree
-    rooted at ENTRY_QUEUE (Topology.is_tree), every queue is fed by one
-    queue, or by the arrivals, and so sees its jobs in arrival order: one
-    pass over the jobs (_tree_pass) finds each completion by Lindley's
-    recursion. Any other network runs the event loop (_event_loop). Unless a
-    route re-enters ENTRY_QUEUE, that queue too sees its jobs in arrival
-    order, so the same recursion serves it before the loop starts, and the
-    loop takes the jobs in as they leave it; otherwise it takes them in as
-    they arrive. All of these give the same values bit for bit wherever they
-    apply, same-instant events included.
+    Every queue serves first come, first served, and one of two orderings
+    turns the durations into sojourns. When the routes form a tree rooted at
+    ENTRY_QUEUE (Topology.is_tree), every queue is fed by one queue, or by
+    the arrivals, and so sees its jobs in arrival order: one pass over the
+    jobs (_tree_pass) finds each completion by Lindley's recursion. Any
+    other network runs the event loop (_event_loop), which serves
+    ENTRY_QUEUE by the same recursion before it starts unless a route
+    re-enters that queue. Both orderings give the same values bit for bit
+    wherever they apply, same-instant events included.
     """
-    window = _tree_pass if topology.is_tree else _event_loop
-    return window(topology, rate, mix, allocation, sim_cfg, rng)
+    horizon = sim_cfg.warmup_seconds + sim_cfg.measure_seconds
+    arrivals, kinds, queues, draws = _draw_window(topology, rate, mix, horizon, rng)
+    # probes step outside the box, so near a lower_bound of 0 a probed
+    # allocation can be negative; its queue then serves at the floor rate
+    durations = draws * (1.0 / (np.maximum(allocation, 0.0) + SERVICE_RATE_FLOOR))[queues]
+    ordering = _tree_pass if topology.is_tree else _event_loop
+    sojourns = ordering(
+        topology, arrivals, kinds, queues, durations, sim_cfg.warmup_seconds, horizon
+    )
+    departures = len(sojourns)
+    mean_latency = math.fsum(sojourns) / departures if departures else math.nan
+    return LatencyObservation(mean_latency=mean_latency, departures=departures)
 
 
-def _draw_window(topology, rate, mix, allocation, horizon, rng):
-    """(arrival times, job types, the queue of every route visit, its duration).
+def _draw_window(topology, rate, mix, horizon, rng):
+    """(arrival times, job types, the queue of every route visit, its unit draw).
 
-    The visits run in job order and then visit order, and so do their
-    durations, drawn as one block of standard exponentials.
+    The generator draws the arrivals, then the job types (_job_types), then
+    one block of standard exponentials with one entry per route visit. The
+    visits, and so their draws, run in job order and then visit order.
     """
     arrivals = _poisson_arrivals(rate, horizon, rng)
     # the mix was checked when its round began (JacksonEnvironment.begin_round)
@@ -284,24 +293,17 @@ def _draw_window(topology, rate, mix, allocation, horizon, rng):
     kinds = _job_types(probs, arrivals.shape[0], rng)
     rows = topology.route_table[kinds]  # one row per job: its route, padded with -1
     queues = rows[rows >= 0]
-    # probes step outside the box, so near a lower_bound of 0 a probed
-    # allocation can be negative; its queue then serves at the floor rate
-    mean_service = 1.0 / (np.maximum(allocation, 0.0) + SERVICE_RATE_FLOOR)
-    durations = rng.standard_exponential(queues.shape[0]) * mean_service[queues]
-    return arrivals, kinds, queues, durations
+    return arrivals, kinds, queues, rng.standard_exponential(queues.shape[0])
 
 
-def _tree_pass(topology, rate, mix, allocation, sim_cfg, rng) -> LatencyObservation:
-    """simulate_window on a tree of routes: one pass over the jobs in arrival order.
+def _tree_pass(topology, arrivals, kinds, queues, durations, measure_start, horizon) -> list[float]:
+    """The sojourns of a tree of routes, in job order: one pass over the jobs.
 
     On a tree every queue sees its jobs in arrival order, so a visit starts
     at the later of the job's arrival there and the queue's last completion
     (Lindley's recursion) and ends its duration later. Same-instant events
     change nothing here: a queue's order is its single feeder's.
     """
-    horizon = sim_cfg.warmup_seconds + sim_cfg.measure_seconds
-    measure_start = sim_cfg.warmup_seconds
-    arrivals, kinds, _, durations = _draw_window(topology, rate, mix, allocation, horizon, rng)
     routes = list(topology.routes.values())
     duration = iter(durations.tolist())
     last = [0.0] * topology.num_queues  # each queue's last completion
@@ -315,11 +317,13 @@ def _tree_pass(topology, rate, mix, allocation, sim_cfg, rng) -> LatencyObservat
             last[q] = now
         if measure_start <= now <= horizon:
             sojourns.append(now - arrival)
-    return _observation(sojourns)
+    return sojourns
 
 
-def _event_loop(topology, rate, mix, allocation, sim_cfg, rng) -> LatencyObservation:
-    """simulate_window on any network: its events in time order.
+def _event_loop(
+    topology, arrivals, kinds, queues, durations, measure_start, horizon
+) -> list[float]:
+    """The sojourns of any network, in departure order: its events in time order.
 
     An arrival at the same instant as a completion is admitted first, and
     completions at the same instant go in queue order (continuous draws make
@@ -357,8 +361,6 @@ def _event_loop(topology, rate, mix, allocation, sim_cfg, rng) -> LatencyObserva
       has its own queue, so no two keys tie and the entries pop in the same
       order.
     """
-    horizon = sim_cfg.warmup_seconds + sim_cfg.measure_seconds
-    arrivals, kinds, queues, durations = _draw_window(topology, rate, mix, allocation, horizon, rng)
     n = arrivals.shape[0]
     jobs = np.arange(n)
     lengths = topology.route_lengths[kinds]
@@ -394,7 +396,6 @@ def _event_loop(topology, rate, mix, allocation, sim_cfg, rng) -> LatencyObserva
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
     taken = 0  # stream entries taken in
     stream_time = stream_times[0]
-    measure_start = sim_cfg.warmup_seconds
     sojourns = []
 
     while True:
@@ -444,13 +445,7 @@ def _event_loop(topology, rate, mix, allocation, sim_cfg, rng) -> LatencyObserva
             in_service[freed] = -1
             heappop(heap)
 
-    return _observation(sojourns)
-
-
-def _observation(sojourns: list[float]) -> LatencyObservation:
-    departures = len(sojourns)
-    mean_latency = math.fsum(sojourns) / departures if departures else math.nan
-    return LatencyObservation(mean_latency=mean_latency, departures=departures)
+    return sojourns
 
 
 def _job_types(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
