@@ -33,9 +33,8 @@ class Topology:
     The other fields are worked out from the routes, once, and take no part in
     comparisons: is_tree is true when the routes form a tree rooted at
     ENTRY_QUEUE, so that simulate_window can take its event-free pass;
-    reenters_entry is true when a route comes back to ENTRY_QUEUE;
-    route_table holds one row per job type, its route padded with -1, and
-    route_lengths the routes' lengths.
+    reenters_entry is true when a route comes back to ENTRY_QUEUE, and
+    route_table holds one row per job type, its route padded with -1.
     """
 
     num_queues: int
@@ -43,7 +42,6 @@ class Topology:
     is_tree: bool = field(init=False, repr=False, compare=False)
     reenters_entry: bool = field(init=False, repr=False, compare=False)
     route_table: np.ndarray = field(init=False, repr=False, compare=False)
-    route_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_queues < 1:
@@ -78,12 +76,11 @@ class Topology:
             for route in clean.values()
             for q, following in zip(route, route[1:])
         )
-        lengths = [len(route) for route in clean.values()]
-        table = [route + (-1,) * (max(lengths) - len(route)) for route in clean.values()]
+        width = max(len(route) for route in clean.values())
+        table = [route + (-1,) * (width - len(route)) for route in clean.values()]
         object.__setattr__(self, "is_tree", tree)
         object.__setattr__(self, "reenters_entry", reenters)
         object.__setattr__(self, "route_table", np.array(table))
-        object.__setattr__(self, "route_lengths", np.array(lengths))
 
     @property
     def job_names(self) -> tuple[str, ...]:
@@ -272,9 +269,7 @@ def simulate_window(
     # allocation can be negative; its queue then serves at the floor rate
     durations = draws * (1.0 / (np.maximum(allocation, 0.0) + SERVICE_RATE_FLOOR))[queues]
     ordering = _tree_pass if topology.is_tree else _event_loop
-    sojourns = ordering(
-        topology, arrivals, kinds, queues, durations, sim_cfg.warmup_seconds, horizon
-    )
+    sojourns = ordering(topology, arrivals, kinds, durations, sim_cfg.warmup_seconds, horizon)
     departures = len(sojourns)
     mean_latency = math.fsum(sojourns) / departures if departures else math.nan
     return LatencyObservation(mean_latency=mean_latency, departures=departures)
@@ -296,7 +291,7 @@ def _draw_window(topology, rate, mix, horizon, rng):
     return arrivals, kinds, queues, rng.standard_exponential(queues.shape[0])
 
 
-def _tree_pass(topology, arrivals, kinds, queues, durations, measure_start, horizon) -> list[float]:
+def _tree_pass(topology, arrivals, kinds, durations, measure_start, horizon) -> list[float]:
     """The sojourns of a tree of routes, in job order: one pass over the jobs.
 
     On a tree every queue sees its jobs in arrival order, so a visit starts
@@ -320,9 +315,7 @@ def _tree_pass(topology, arrivals, kinds, queues, durations, measure_start, hori
     return sojourns
 
 
-def _event_loop(
-    topology, arrivals, kinds, queues, durations, measure_start, horizon
-) -> list[float]:
+def _event_loop(topology, arrivals, kinds, durations, measure_start, horizon) -> list[float]:
     """The sojourns of any network, in departure order: its events in time order.
 
     An arrival at the same instant as a completion is admitted first, and
@@ -340,17 +333,18 @@ def _event_loop(
     more: arrivals went first before, and an exit from ENTRY_QUEUE was a
     completion of the lowest-numbered queue.
 
-    The window's route visits sit in one flat list, each job's visits
-    followed by a slot holding ~job, next to one list of their durations; a
-    queue's server and waiting line hold list positions, so a completion
-    reads the job's next visit, or its departure, at the position after its
-    current one. Two shortcuts leave the event order as it is when each event
-    is tested against the horizon and each completion pops its entry and
-    pushes the next ones:
+    The window lies on a grid with one row per job: its route, padded with
+    -1 to one column past the longest route, next to a grid of the visits'
+    durations. A queue's server and waiting line hold flat grid positions,
+    so a completion reads the job's next visit at the position after its
+    current one, and a -1 there means the job, the position's row, leaves.
+    Two shortcuts leave the event order as it is when each event is tested
+    against the horizon and each completion pops its entry and pushes the
+    next ones:
 
     - The horizon is one more heap entry, (horizon, num_queues): a
-      pseudo-queue whose server holds the position before one extra slot,
-      ~n, and the loop ends when that slot's departure comes up. A real
+      pseudo-queue whose server holds the position before one extra row,
+      and the loop ends when that row's first position comes up. A real
       completion due exactly at the horizon sorts ahead of it by its lower
       queue number, the stream by going first, and every arrival falls
       before the horizon.
@@ -362,35 +356,27 @@ def _event_loop(
       order.
     """
     n = arrivals.shape[0]
-    jobs = np.arange(n)
-    lengths = topology.route_lengths[kinds]
-    slots = lengths.cumsum() + jobs  # each job's slot, just after its last visit
-    end = queues.shape[0] + n  # the horizon's slot, ~n: the only departure that is no job's
-    is_visit = np.ones(end + 1, dtype=bool)
-    is_visit[slots] = False
-    is_visit[end] = False
-    visit = np.empty(end + 1, dtype=np.intp)
-    visit[is_visit] = queues
-    visit[slots] = ~jobs
-    visit[end] = ~n
-    duration = np.zeros(end + 1)
-    duration[is_visit] = durations
-    first = slots - lengths  # each job's first visit, always to ENTRY_QUEUE
+    grid = np.full((n + 1, topology.route_table.shape[1] + 1), -1)
+    grid[:n, :-1] = topology.route_table[kinds]
+    duration = np.zeros(grid.shape)
+    duration[grid >= 0] = durations
+    width = grid.shape[1]
+    end = n * width  # the horizon's row: the only departure that is no job's
 
     arrival_times = arrivals.tolist()
     if topology.reenters_entry:
-        stream_times, stream = arrival_times, first.tolist()
+        stream_times, intake = arrival_times, 0
     else:
-        stream_times, stream = [], (first + 1).tolist()
+        stream_times, intake = [], 1
         done = 0.0  # ENTRY_QUEUE's last completion
-        for arrival, service in zip(arrival_times, duration[first].tolist()):
+        for arrival, service in zip(arrival_times, duration[:n, 0].tolist()):
             done = (arrival if arrival > done else done) + service
             stream_times.append(done)
     stream_times.append(math.inf)  # the sentinel after the last job
-    visit, duration = visit.tolist(), duration.tolist()
+    visit, duration = grid.ravel().tolist(), duration.ravel().tolist()
     waiting = [deque() for _ in range(topology.num_queues)]
     in_service = [-1] * topology.num_queues
-    in_service.append(end - 1)  # the horizon pseudo-queue "serves" up to its slot
+    in_service.append(end - 1)  # the horizon pseudo-queue "serves" up to its row
     # (completion time, queue): a queue has at most one pending completion
     heap: list[tuple[float, int]] = [(horizon, topology.num_queues)]
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
@@ -402,13 +388,13 @@ def _event_loop(
         top = heap[0]
         if stream_time <= top[0]:  # ties: the stream goes before any completion
             now = stream_time
-            position = stream[taken]
+            position = taken * width + intake  # the taken job's row, at its intake column
             taken += 1
             stream_time = stream_times[taken]
             target = visit[position]
             if target < 0:  # a job routed through ENTRY_QUEUE alone leaves
                 if now >= measure_start:
-                    sojourns.append(now - arrival_times[~target])
+                    sojourns.append(now - arrival_times[position // width])
             elif in_service[target] < 0:
                 in_service[target] = position
                 heappush(heap, (now + duration[position], target))
@@ -423,7 +409,7 @@ def _event_loop(
             if position == end:
                 break
             if now >= measure_start:
-                sojourns.append(now - arrival_times[~target])
+                sojourns.append(now - arrival_times[position // width])
         elif in_service[target] < 0:
             # the routed job's entry takes the freed queue's place on the heap
             in_service[target] = position

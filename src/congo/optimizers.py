@@ -126,11 +126,15 @@ class OptimizerConfig:
             return 3 * self.m  # practical default; prescriptions can be far larger
         return self.m  # sample-matched SPSA: m draws plus the shared base query
 
+    def noise_level(self) -> float:
+        """congo-b's basis-pursuit noise level, which its clip cap adds to the Lipschitz bound."""
+        return 3.0 * self.smoothness.smoothness * self.delta
+
     def clip_cap(self) -> float:
         """Largest estimate norm the gate keeps; only the congo-* estimators have a cap."""
         prof = self.smoothness
         if self.name == "congo-b":
-            return prof.lipschitz + 3.0 * prof.smoothness * self.delta
+            return prof.lipschitz + self.noise_level()
         if self.name in CS_VARIANTS:
             return prof.lipschitz + (COSAMP_ERROR_GAIN / 2.0) * prof.smoothness * self.delta
         return math.inf
@@ -153,8 +157,7 @@ def congo_step(
     matrix = draw_matrix(cfg.m, x.shape[0], cfg.matrix_distribution(), rng)
     if cfg.name == "congo-b":
         measured = measure_combined(oracle, x, matrix, cfg.delta, cfg.averaging_count(), rng)
-        noise_level = 3.0 * cfg.smoothness.smoothness * cfg.delta
-        return basis_pursuit(*rescale(matrix, measured), noise_level, cfg.clip_cap())
+        return basis_pursuit(*rescale(matrix, measured), cfg.noise_level(), cfg.clip_cap())
     measured = measure_single_row(oracle, x, matrix, cfg.delta)
     return cosamp(*rescale(matrix, measured), cfg.sparsity)
 

@@ -189,6 +189,7 @@ def test_clip_cap_formulas():
     assert e.clip_cap() == pytest.approx(6.0 + (7.21 / 2.0) * 2.0 * 0.5)
     b = cfg_for("congo-b", delta=0.5, smoothness=prof)
     assert b.clip_cap() == pytest.approx(6.0 + 3.0 * 2.0 * 0.5)
+    assert b.clip_cap() == 6.0 + b.noise_level()  # congo_step's basis-pursuit noise level
     for name in ("gd", "gdsp", "sgdsp", "nsgd"):
         assert cfg_for(name, delta=0.5, smoothness=prof).clip_cap() == math.inf
 
