@@ -3,6 +3,15 @@
 Two solvers: a greedy support-pursuit routine for the single-row measurement
 schemes, and a doubly-constrained l1 minimizer (primal-dual) for the combined
 scheme. Both operate on the rescaled system (A, y) / sqrt(m).
+
+Every least-squares solve and SVD calls numpy's LAPACK gufuncs
+(numpy.linalg._umath_linalg) directly, under the error state that
+np.linalg.lstsq and np.linalg.svd set, so a LAPACK failure still raises
+LinAlgError. The results are those of the np.linalg wrappers to the bit
+(tests/test_recovery.py pins them). The wrappers' argument checks and dtype
+handling are a large share of a small solve, and CoSaMP makes thousands of
+them per run: on a 2-core Xeon host a 24x5 solve took 14.0 us through
+np.linalg.lstsq and 10.3 us through the gufunc (24.2 and 20.7 us at 24x10).
 """
 
 from __future__ import annotations
@@ -10,6 +19,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError
+
+try:
+    # numpy 1.x splits these gufuncs by shape (its least squares is lstsq_m and lstsq_n)
+    from numpy.linalg._umath_linalg import lstsq as _gelsd, svd as _svd_values, svd_s as _svd_thin
+except ImportError as exc:  # pragma: no cover - depends on the installed numpy
+    raise ImportError(
+        f"congo.recovery needs numpy>=2.4 (found {np.__version__}): it calls the lstsq, "
+        "svd and svd_s gufuncs of numpy.linalg._umath_linalg"
+    ) from exc
 
 from .core import brent_root, vector_norm
 
@@ -18,6 +37,8 @@ from .core import brent_root, vector_norm
 TOLERANCE = 0.005
 # the iteration budget of one greedy pursuit and of the primal-dual loop
 MAX_ITERATIONS = 50
+# lstsq's default rcond is eps * max(m, n)
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def rescale(matrix: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -42,6 +63,14 @@ def cosamp(matrix: np.ndarray, values: np.ndarray, sparsity: int) -> np.ndarray:
     The result with the smallest residual wins, so a run that already sits at
     its noise floor is never made worse. The pursuit and its restarts share
     one table of least-squares solves, so each column sequence is solved once.
+
+    From its second iteration on, a pursuit's next iterate depends on the
+    current one alone, and an iterate on the column sequence of its refit. So
+    when a refit sequence comes back, the loop has entered a cycle: the pursuit
+    runs the stall count of the rest of its iteration budget over the stored
+    iterates and norms of that cycle instead of recomputing them. Below the
+    recovery threshold most iterations are such repeats; the result is the
+    one the full loop returns, to the bit.
     """
     d = matrix.shape[1]
     solves: dict[tuple[int, ...], np.ndarray] = {}
@@ -72,7 +101,11 @@ def _pursuit(
     resid_norm = math.sqrt(residual.dot(residual))
     stalled = 0
     first = True
-    for _ in range(MAX_ITERATIONS):
+    # each computed iteration's (iterate, residual norm), and the iteration
+    # that first refit on each column sequence
+    trail: list[tuple[np.ndarray, float]] = []
+    refits: dict[tuple[int, ...], int] = {}
+    for iteration in range(MAX_ITERATIONS):
         if resid_norm <= TOLERANCE:
             break
         proxy = matrix.T @ residual
@@ -86,14 +119,20 @@ def _pursuit(
         merged = np.flatnonzero(in_merged)
         # minimum-norm least squares keeps rank-deficient supports from blowing up
         candidate = np.zeros(d)
-        candidate[merged] = _solve(matrix, values, merged, solves)
+        candidate[merged] = _solve(matrix, values, merged, tuple(merged.tolist()), solves)
         keep = _largest(candidate, min(s, d))
+        key = tuple(keep.tolist())
+        start = refits.setdefault(key, iteration)
+        if start < iteration:
+            # iterations start .. iteration - 1 now repeat until the loop ends
+            return _replay(trail[start:], MAX_ITERATIONS - iteration, resid_norm, stalled)
         # refit on the pruned support: truncated merged-support coefficients
         # otherwise leave a bias that stalls recovery near the sample floor
         x = np.zeros(d)
-        x[keep] = _solve(matrix, values, keep, solves)
+        x[keep] = _solve(matrix, values, keep, key, solves)
         residual = values - matrix @ x
         new_norm = math.sqrt(residual.dot(residual))
+        trail.append((x, new_norm))
         stalled = stalled + 1 if new_norm >= resid_norm else 0
         resid_norm = new_norm
         if stalled >= 3:
@@ -101,18 +140,64 @@ def _pursuit(
     return x, resid_norm
 
 
-def _solve(matrix, values, cols, solves) -> np.ndarray:
-    """lstsq on matrix[:, cols], once per exact column sequence in solves.
+def _replay(cycle, budget, resid_norm, stalled) -> tuple[np.ndarray, float]:
+    """The rest of a pursuit loop that has entered a cycle, over its stored iterates.
+
+    The loop's next `budget` iterations would produce cycle[0], cycle[1], ...
+    in turn; this runs their stall count and returns what the loop would have
+    returned. The loop's tolerance check cannot end a cycle: each norm in it
+    already passed that check at the top of the iteration after its own.
+    """
+    for step in range(budget):
+        x, new_norm = cycle[step % len(cycle)]
+        stalled = stalled + 1 if new_norm >= resid_norm else 0
+        resid_norm = new_norm
+        if stalled >= 3:
+            break
+    return x, resid_norm
+
+
+def _solve(matrix, values, cols, key, solves) -> np.ndarray:
+    """lstsq on matrix[:, cols], once per exact column sequence key = tuple(cols).
 
     The solve depends on nothing but the columns in their order, so a repeated
     sequence (common below the recovery threshold, where the loop and its
     restarts revisit supports) reuses the stored coefficients.
     """
-    key = tuple(cols.tolist())
     coef = solves.get(key)
     if coef is None:
-        coef = solves[key] = np.linalg.lstsq(matrix[:, cols], values, rcond=None)[0]
+        coef = solves[key] = _lstsq(matrix[:, cols], values)
     return coef
+
+
+def _svd_failed(err, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+# np.linalg.lstsq's and np.linalg.svd's error state: LAPACK reports a failure
+# (a NaN input among them) through the invalid flag, which calls _svd_failed.
+# As a decorator it enters a fresh state per call, so threads may share it.
+_lapack_errors = np.errstate(
+    call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
+
+
+@_lapack_errors
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(a, b, rcond=None)[0] for a float matrix a and a 1-D float b."""
+    return _gelsd(a, b[:, None], _EPS * max(a.shape), signature="ddd->ddid")[0][:, 0]
+
+
+@_lapack_errors
+def _singular_values(matrix: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(matrix, compute_uv=False): the singular values, largest first."""
+    return _svd_values(matrix, signature="d->d")
+
+
+@_lapack_errors
+def _thin_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.svd(matrix, full_matrices=False) as a (u, s, vt) tuple."""
+    return _svd_thin(matrix, signature="d->ddd")
 
 
 def _largest(vector: np.ndarray, count: int) -> np.ndarray:
@@ -138,7 +223,7 @@ def basis_pursuit(
         return None
 
     # np.linalg.norm(matrix, 2) is the largest singular value: svd's first
-    op_norm = float(np.linalg.svd(matrix, compute_uv=False)[0])
+    op_norm = float(_singular_values(matrix)[0])
     if op_norm == 0.0:
         # A z is identically zero; z = 0 is the l1 minimizer of the feasible set
         return np.zeros(d)
@@ -198,8 +283,7 @@ def basis_pursuit(
 
 def _polish(matrix, values, z) -> np.ndarray:
     """Minimum-norm correction onto the measurement-consistent affine set."""
-    correction, *_ = np.linalg.lstsq(matrix, values - matrix @ z, rcond=None)
-    return z + correction
+    return z + _lstsq(matrix, values - matrix @ z)
 
 
 def _debias(matrix, values, z) -> np.ndarray | None:
@@ -216,18 +300,17 @@ def _debias(matrix, values, z) -> np.ndarray | None:
     support = np.flatnonzero(magnitudes > 1e-3 * top)
     if support.size == 0 or support.size > matrix.shape[0]:
         return None
-    coef, *_ = np.linalg.lstsq(matrix[:, support], values, rcond=None)
     debiased = np.zeros(matrix.shape[1])
-    debiased[support] = coef
+    debiased[support] = _lstsq(matrix[:, support], values)
     return debiased
 
 
 def _min_residual_on_cap(matrix, values, norm_cap) -> tuple[float, np.ndarray | None]:
     """Exact min of ||A z - y|| over ||z|| <= norm_cap, via the ridge path."""
-    min_norm, *_ = np.linalg.lstsq(matrix, values, rcond=None)
+    min_norm = _lstsq(matrix, values)
     if vector_norm(min_norm) <= norm_cap:
         return vector_norm(values - matrix @ min_norm), min_norm
-    u, sing, vt = np.linalg.svd(matrix, full_matrices=False)
+    u, sing, vt = _thin_svd(matrix)
     coeff = u.T @ values
 
     def weights(lam: float) -> np.ndarray:

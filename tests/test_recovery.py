@@ -6,20 +6,25 @@ counts below are frozen properties of the implementation.
 """
 
 import dataclasses
+import importlib.util
 import math
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError, _umath_linalg
 
-from congo import optimizers
+from congo import optimizers, recovery
 from congo.recovery import (
     MAX_ITERATIONS,
     TOLERANCE,
     _largest,
+    _lstsq,
     _min_residual_on_cap,
     _polish,
     _pursuit,
+    _singular_values,
     _soft_threshold,
+    _thin_svd,
     basis_pursuit,
     cosamp,
     rescale,
@@ -303,7 +308,7 @@ def test_cosamp_matches_the_reference_loop(preset, m, monkeypatch):
 
 def test_cosamp_solves_each_column_sequence_once(monkeypatch):
     calls = _recorded_calls(monkeypatch, "quadratic-noisy-d50", "congo-e", "cosamp", m=8)
-    original = np.linalg.lstsq
+    original, original_kernel = np.linalg.lstsq, recovery._lstsq
     solved = []
 
     def record(a, b, rcond=None):
@@ -311,7 +316,13 @@ def test_cosamp_solves_each_column_sequence_once(monkeypatch):
         solved.append((a.shape, a.tobytes()))
         return original(a, b, rcond=rcond)
 
+    def record_kernel(a, b):
+        solved.append((a.shape, a.tobytes()))
+        return original_kernel(a, b)
+
+    # the reference loop solves through np.linalg.lstsq, cosamp through _lstsq
     monkeypatch.setattr(np.linalg, "lstsq", record)
+    monkeypatch.setattr(recovery, "_lstsq", record_kernel)
     repeats = 0
     for args in calls:
         solved.clear()
@@ -324,3 +335,123 @@ def test_cosamp_solves_each_column_sequence_once(monkeypatch):
         repeats += len(reference) - len(solved)
     # below the threshold the unshared loops repeat most of their solves
     assert repeats > len(calls)
+
+
+def _count_largest(monkeypatch):
+    """Count _largest calls, two per pursuit iteration, in cosamp and in the reference loop."""
+    original = recovery._largest
+    calls = []
+
+    def counting(vector, count):
+        calls.append(count)
+        return original(vector, count)
+
+    monkeypatch.setattr(recovery, "_largest", counting)
+    monkeypatch.setitem(globals(), "_largest", counting)
+    return calls
+
+
+def test_cosamp_replays_cycles_instead_of_iterating_them(monkeypatch):
+    calls = _recorded_calls(monkeypatch, "quadratic-noisy-d50", "congo-e", "cosamp", m=8)
+    largest = _count_largest(monkeypatch)
+    computed = reference = 0
+    for args in calls:
+        largest.clear()
+        out = cosamp(*args)
+        computed += len(largest)
+        largest.clear()
+        ref = _ref_cosamp(*args)
+        reference += len(largest)
+        assert out.tobytes() == ref.tobytes()
+    # below the threshold most iterations repeat an earlier refit's cycle:
+    # 1,135 of the reference loop's 3,150 are computed
+    assert 2 * computed < reference
+
+
+def test_pursuit_replays_a_period_two_cycle_to_the_budget(monkeypatch):
+    # this system's pursuit alternates between two refit supports from its
+    # third iteration on; one of the two steps lowers the residual norm, so the
+    # loop stalls every other iteration, never three times in a row, and runs
+    # its whole budget
+    matrix, values, _, _ = make_system(19, m=6)
+    largest = _count_largest(monkeypatch)
+    ref_x, ref_norm = _ref_pursuit(matrix, values, 3, frozenset())
+    assert len(largest) == 2 * MAX_ITERATIONS and ref_norm > TOLERANCE
+    largest.clear()
+    x, resid_norm = _pursuit(matrix, values, 3, frozenset(), {})
+    # iterations 0-4 are computed; the fifth refit repeats the third's
+    assert len(largest) == 2 * 5
+    assert x.tobytes() == ref_x.tobytes() and resid_norm == ref_norm
+    assert cosamp(matrix, values, 3).tobytes() == _ref_cosamp(matrix, values, 3).tobytes()
+
+
+def _kernel_arguments(monkeypatch, solver, calls):
+    """The (a, b) of every _lstsq call that recovery's `solver` makes on the argument tuples `calls`."""
+    original = recovery._lstsq
+    solves = []
+
+    def record(a, b):
+        solves.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(recovery, "_lstsq", record)
+    for args in calls:
+        getattr(recovery, solver)(*args)
+    monkeypatch.undo()
+    assert solves
+    return solves
+
+
+def _assert_kernels_match_numpy(solves):
+    for a, b in solves:
+        assert _lstsq(a, b).tobytes() == np.linalg.lstsq(a, b, rcond=None)[0].tobytes()
+        assert _singular_values(a).tobytes() == np.linalg.svd(a, compute_uv=False).tobytes()
+        for ours, theirs in zip(_thin_svd(a), np.linalg.svd(a, full_matrices=False)):
+            assert ours.tobytes() == theirs.tobytes()
+
+
+KERNEL_CASES = [
+    pytest.param("quadratic-noisy-d50", "congo-e", "cosamp", 8, id="congo-e-m8"),
+    pytest.param("quadratic-noisy-d50", "congo-e", "cosamp", None, id="congo-e"),
+    # the wide 24 x 50 solves of the polish and the capped ridge path
+    pytest.param("quadratic-noiseless", "congo-b", "basis_pursuit", None, id="congo-b"),
+]
+
+
+@pytest.mark.parametrize("preset, optimizer, solver, m", KERNEL_CASES)
+def test_lapack_kernels_match_numpy_linalg(preset, optimizer, solver, m, monkeypatch):
+    calls = _recorded_calls(monkeypatch, preset, optimizer, solver, m=m)
+    _assert_kernels_match_numpy(_kernel_arguments(monkeypatch, solver, calls))
+
+
+def test_lapack_kernels_match_numpy_linalg_on_wide_supports(monkeypatch):
+    # shaped like jackson-large-fixed's congo-e: d = 50, s = 10, m = 17, so a
+    # merged support of up to 2s = 20 columns is wider than it is tall
+    calls = [make_system(seed, d=50, s=10, m=17)[:2] + (10,) for seed in range(10)]
+    solves = _kernel_arguments(monkeypatch, "cosamp", calls)
+    assert any(a.shape[1] > a.shape[0] for a, _ in solves)
+    _assert_kernels_match_numpy(solves)
+
+
+def test_lapack_kernels_raise_linalgerror_like_numpy():
+    matrix = np.ones((6, 4))
+    matrix[2, 1] = np.nan
+    values = np.ones(6)
+    pairs = [
+        (lambda: _lstsq(matrix, values), lambda: np.linalg.lstsq(matrix, values, rcond=None)),
+        (lambda: _singular_values(matrix), lambda: np.linalg.svd(matrix, compute_uv=False)),
+        (lambda: _thin_svd(matrix), lambda: np.linalg.svd(matrix, full_matrices=False)),
+    ]
+    for ours, theirs in pairs:
+        with pytest.raises(LinAlgError):
+            ours()
+        with pytest.raises(LinAlgError):
+            theirs()
+
+
+def test_recovery_names_its_numpy_requirement(monkeypatch):
+    # numpy 1.x has no single lstsq gufunc (it splits it into lstsq_m and lstsq_n)
+    monkeypatch.delattr(_umath_linalg, "lstsq")
+    spec = importlib.util.spec_from_file_location("congo._recovery_probe", recovery.__file__)
+    with pytest.raises(ImportError, match=r"numpy>=2\.4"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
