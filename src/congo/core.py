@@ -17,6 +17,13 @@ class MeasurementError(RuntimeError):
     """Raised when a function query comes back unusable (NaN/inf)."""
 
 
+def check_nonnegative(key: str, value: float, *, positive: bool = False) -> None:
+    """Raise ConfigurationError naming key unless value is finite and >= 0 (> 0 if positive)."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigurationError(f"{key}: must be finite and {bound}, got {value}")
+
+
 def vector_norm(vector: np.ndarray) -> float:
     """Euclidean norm of a contiguous float vector, as np.linalg.norm gives it.
 
@@ -40,8 +47,7 @@ class Ball:
         object.__setattr__(self, "center", center)
         if center.ndim != 1:
             raise ConfigurationError("ball center must be a vector")
-        if not np.isfinite(self.radius) or self.radius < 0:
-            raise ConfigurationError(f"ball radius must be finite and >= 0, got {self.radius}")
+        check_nonnegative("radius", self.radius)
 
     def project(self, point: np.ndarray) -> np.ndarray:
         offset = point - self.center
@@ -103,11 +109,8 @@ class SmoothnessProfile:
     smoothness: float
 
     def __post_init__(self):
-        for key in ("lipschitz", "smoothness"):
-            if not 0 <= getattr(self, key) < math.inf:
-                raise ConfigurationError(
-                    f"{key}: must be finite and >= 0, got {getattr(self, key)}"
-                )
+        check_nonnegative("lipschitz", self.lipschitz)
+        check_nonnegative("smoothness", self.smoothness)
 
 
 def gd_update(x: np.ndarray, gradient: np.ndarray, eta: float, cset: ConstraintSet) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Box, ConfigurationError
+from .core import Box, ConfigurationError, check_nonnegative
 from .sensing import ValueOracle, pointwise
 
 SERVICE_RATE_FLOOR = 0.1
@@ -87,20 +87,12 @@ class Topology:
         return tuple(self.routes)
 
 
-def _check_rate(rate: float, field: str):
-    if rate <= 0 or not math.isfinite(rate):
-        raise ConfigurationError(f"{field} must be finite and > 0, got {rate}")
-
-
 def _check_mix(mix: dict[str, float], names: tuple[str, ...], field: str):
     total = 0.0
     for name, prob in mix.items():
         if name not in names:
             raise ConfigurationError(f"{field} references unknown job type {name!r}")
-        if not 0 <= prob < math.inf:
-            raise ConfigurationError(
-                f"{field} probability for {name!r} must be finite and >= 0, got {prob}"
-            )
+        check_nonnegative(f"{field} probability for {name!r}", prob)
         total += prob
     if abs(total - 1.0) > 1e-9:
         raise ConfigurationError(f"{field} probabilities sum to {total}, expected 1")
@@ -112,7 +104,7 @@ class FixedWorkload:
     mix: dict[str, float]
 
     def __post_init__(self):
-        _check_rate(self.rate, "rate")
+        check_nonnegative("rate", self.rate, positive=True)
 
     def at(self, t: int) -> tuple[float, dict[str, float]]:
         return self.rate, self.mix
@@ -134,7 +126,7 @@ class VariableRateWorkload:
             raise ConfigurationError("need at least one rate segment")
         expected = 1
         for first, last, rate in self.segments:
-            _check_rate(rate, f"segments: rate of segment {first}-{last}")
+            check_nonnegative(f"segments: rate of segment {first}-{last}", rate, positive=True)
             if first != expected:
                 raise ConfigurationError(
                     f"rate segment {first}-{last} starts at round {first}, expected {expected}:"
@@ -162,7 +154,7 @@ class VariableMixWorkload:
     end_round: int
 
     def __post_init__(self):
-        _check_rate(self.rate, "rate")
+        check_nonnegative("rate", self.rate, positive=True)
         if self.end_round <= self.start_round:
             raise ConfigurationError("mix transition needs end_round > start_round")
 
@@ -189,28 +181,13 @@ class SimConfig:
     upper_bound: float = 60.0
 
     def __post_init__(self):
-        if not 0 <= self.warmup_seconds < math.inf:
-            raise ConfigurationError(
-                f"warmup_seconds: must be finite and >= 0, got {self.warmup_seconds}"
-            )
-        if not 0 < self.measure_seconds < math.inf:
-            raise ConfigurationError(
-                f"measure_seconds: must be finite and > 0, got {self.measure_seconds}"
-            )
-        if not 0 <= self.resource_weight < math.inf:
-            raise ConfigurationError(
-                f"resource_weight: must be finite and >= 0, got {self.resource_weight}"
-            )
+        check_nonnegative("warmup_seconds", self.warmup_seconds)
+        check_nonnegative("measure_seconds", self.measure_seconds, positive=True)
+        check_nonnegative("resource_weight", self.resource_weight)
         # a zero bump would leave an unstable allocation where it is
-        if not 0 < self.correction_factor < math.inf:
-            raise ConfigurationError(
-                f"correction_factor: must be finite and > 0, got {self.correction_factor}"
-            )
-        for key in ("lower_bound", "upper_bound"):
-            if not 0 <= getattr(self, key) < math.inf:
-                raise ConfigurationError(
-                    f"{key}: must be finite and >= 0, got {getattr(self, key)}"
-                )
+        check_nonnegative("correction_factor", self.correction_factor, positive=True)
+        check_nonnegative("lower_bound", self.lower_bound)
+        check_nonnegative("upper_bound", self.upper_bound)
         if self.lower_bound > self.upper_bound:
             raise ConfigurationError(
                 f"lower_bound: {self.lower_bound} exceeds upper_bound {self.upper_bound}"

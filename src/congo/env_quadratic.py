@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Ball, ConfigurationError, SmoothnessProfile, brent_root, vector_norm
+from .core import Ball, ConfigurationError, SmoothnessProfile, brent_root, check_nonnegative, vector_norm
 from .sensing import ValueOracle
 
 _ROUND_STREAM = 0
@@ -63,13 +63,9 @@ class QuadraticAdversaryConfig:
             raise ConfigurationError(
                 f"sparsity: need 1 <= sparsity <= dimension, got {self.sparsity}/{self.dimension}"
             )
-        if not 0 < self.radius < math.inf:
-            raise ConfigurationError(f"radius: must be > 0 and finite, got {self.radius}")
-        for key in ("noise_sigma", "approx_scale"):
-            if not 0 <= getattr(self, key) < math.inf:
-                raise ConfigurationError(
-                    f"{key}: must be >= 0 and finite, got {getattr(self, key)}"
-                )
+        check_nonnegative("radius", self.radius, positive=True)
+        check_nonnegative("noise_sigma", self.noise_sigma)
+        check_nonnegative("approx_scale", self.approx_scale)
         if self.fixed_constant is not None and not math.isfinite(self.fixed_constant):
             raise ConfigurationError(f"fixed_constant: must be finite, got {self.fixed_constant}")
 

@@ -29,6 +29,7 @@ from .core import (
     GradientEstimate,
     MeasurementError,
     SmoothnessProfile,
+    check_nonnegative,
     gd_update,
     vector_norm,
 )
@@ -53,50 +54,34 @@ ALL_OPTIMIZERS = CS_VARIANTS + BASELINES
 _OPT_STREAM = 2
 
 
-class ConstantRate:
-    def __init__(self, eta: float):
-        if not 0 <= eta < math.inf:
-            raise ConfigurationError(f"eta must be finite and >= 0, got {eta}")
-        self.eta = eta
+@dataclass(frozen=True)
+class StepSize:
+    """eta * factor^floor((t - 1) / period) / (1 + decay * t), with t the 1-based round index.
+
+    The defaults make each factor exactly 1, so a constant rate, an inverse
+    decay and a step decay are the same formula with one part switched on.
+    """
+
+    eta: float
+    decay: float = 0.0
+    period: int = 1
+    factor: float = 1.0
+
+    def __post_init__(self):
+        check_nonnegative("eta", self.eta)
+        check_nonnegative("decay", self.decay)
+        if self.period < 1:
+            raise ConfigurationError(f"period: must be >= 1, got {self.period}")
+        check_nonnegative("factor", self.factor, positive=True)
 
     def rate(self, t: int) -> float:
-        return self.eta
-
-
-class InverseDecayRate:
-    """eta0 / (1 + decay * t), with t the 1-based round index."""
-
-    def __init__(self, eta: float, decay: float):
-        if not (0 <= eta < math.inf and 0 <= decay < math.inf):
-            raise ConfigurationError(f"eta and decay must be finite and >= 0, got {eta}, {decay}")
-        self.eta = eta
-        self.decay = decay
-
-    def rate(self, t: int) -> float:
-        return self.eta / (1.0 + self.decay * t)
-
-
-class StepDecayRate:
-    """eta0 * factor^floor((t - 1) / period)."""
-
-    def __init__(self, eta: float, period: int, factor: float):
-        if not (0 <= eta < math.inf and period >= 1 and 0 < factor < math.inf):
-            raise ConfigurationError(
-                "step decay needs finite eta >= 0, period >= 1 and finite factor > 0,"
-                f" got {eta}, {period}, {factor}"
-            )
-        self.eta = eta
-        self.period = period
-        self.factor = factor
-
-    def rate(self, t: int) -> float:
-        return self.eta * self.factor ** ((t - 1) // self.period)
+        return self.eta * self.factor ** ((t - 1) // self.period) / (1.0 + self.decay * t)
 
 
 @dataclass
 class OptimizerConfig:
     name: str
-    schedule: object
+    schedule: StepSize
     delta: float
     sparsity: int = 1
     m: int = 1
@@ -109,8 +94,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.name not in ALL_OPTIMIZERS:
             raise ConfigurationError(f"unknown optimizer {self.name!r}")
-        if self.name != "gd" and not 0 < self.delta < math.inf:
-            raise ConfigurationError(f"delta: must be finite and > 0, got {self.delta}")
+        if self.name != "gd":
+            check_nonnegative("delta", self.delta, positive=True)
         for key in ("sparsity", "m", "k"):
             value = getattr(self, key)
             if value is not None and value < 1:  # k None: the default averaging count

@@ -27,13 +27,7 @@ from .env_jackson import (
 )
 from .env_quadratic import QuadraticAdversary, QuadraticAdversaryConfig, smoothness_bounds
 from .harness import ExperimentSpec, SweepPlan
-from .optimizers import (
-    ALL_OPTIMIZERS,
-    ConstantRate,
-    InverseDecayRate,
-    OptimizerConfig,
-    StepDecayRate,
-)
+from .optimizers import ALL_OPTIMIZERS, OptimizerConfig, StepSize
 from .sensing import prescribe_m
 
 PRESET_ENV_VAR = "CONGO_PRESET_DIR"
@@ -94,16 +88,16 @@ def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def parse_learning_rate(text: str):
+def parse_learning_rate(text: str) -> StepSize:
     """'0.1' | 'step:eta0:period:factor' | 'inv:eta0:decay'."""
     parts = text.split(":")
     try:
         if parts[0] == "step" and len(parts) == 4:
-            return StepDecayRate(float(parts[1]), int(parts[2]), float(parts[3]))
+            return StepSize(float(parts[1]), period=int(parts[2]), factor=float(parts[3]))
         if parts[0] == "inv" and len(parts) == 3:
-            return InverseDecayRate(float(parts[1]), float(parts[2]))
+            return StepSize(float(parts[1]), decay=float(parts[2]))
         if len(parts) == 1:
-            return ConstantRate(float(parts[0]))
+            return StepSize(float(parts[0]))
     except ConfigurationError as exc:
         raise ConfigurationError(f"learning_rate: {exc}") from None
     except ValueError:
@@ -120,6 +114,7 @@ def _parse_mix(section: str, text: str) -> dict[str, float]:
         name, sep, prob = token.partition(":")
         if not sep or not name:
             raise ConfigurationError(f"[{section}] mix token {token!r} is not name:probability")
+        name = name.lower()  # as configparser folds the route.<job> keys
         if name in mix:
             raise ConfigurationError(f"[{section}] mix token {token!r} names {name!r} again")
         try:

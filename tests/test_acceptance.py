@@ -26,7 +26,7 @@ from congo.env_quadratic import (
     smoothness_bounds,
 )
 from congo.harness import ExperimentSpec, run_experiment
-from congo.optimizers import ConstantRate, OptimizerConfig, run_online
+from congo.optimizers import OptimizerConfig, StepSize, run_online
 from congo.recovery import cosamp, rescale
 from congo.scenario import PRESET_ENV_VAR, find_preset, load_spec, load_sweep, parse_seed_list
 from congo.sensing import ValueOracle, draw_matrix, measure_single_row, pointwise
@@ -210,7 +210,7 @@ def test_criterion_06_sublinear_regret(criterion_report):
     base = preset("sweep-measurement-rows")[24]
     means = {}
     for T in (100, 400, 1600):
-        cfg = dataclasses.replace(base.optimizers[0], schedule=ConstantRate(1 / np.sqrt(T)))
+        cfg = dataclasses.replace(base.optimizers[0], schedule=StepSize(1 / np.sqrt(T)))
         regrets = []
         for r in run(base, optimizers=[cfg], horizon=T, seeds=tuple(range(20))).runs:
             # the round stream depends on the seed alone: replay it for the reference
@@ -309,7 +309,7 @@ def test_criterion_09_invariants(criterion_report, tmp_path):
     expected = {"gd": 0, "congo-e": 6, "congo-z": 6, "congo-b": 5,
                 "gdsp": 5, "sgdsp": 5, "nsgd": 13}
     toy = QuadraticAdversaryConfig(dimension=12, sparsity=2, radius=10.0)
-    configs = {name: OptimizerConfig(name=name, schedule=ConstantRate(0.05), delta=1e-4, sparsity=2,
+    configs = {name: OptimizerConfig(name=name, schedule=StepSize(0.05), delta=1e-4, sparsity=2,
                                      m=5, k=4, smoothness=smoothness_bounds(10.0, 2))
                for name in expected}
     budgets_ok = True

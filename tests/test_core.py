@@ -1,4 +1,4 @@
-"""Feasible sets, the projected-step primitive, the root-finder and the reduction helpers."""
+"""Feasible sets, the projected step, the root-finder, the reduction helpers and the range rule."""
 
 import math
 
@@ -18,6 +18,15 @@ from congo.core import (
     gd_update,
     vector_norm,
 )
+from congo.env_jackson import (
+    FixedWorkload,
+    SimConfig,
+    VariableMixWorkload,
+    VariableRateWorkload,
+    _check_mix,
+)
+from congo.env_quadratic import QuadraticAdversaryConfig
+from congo.optimizers import OptimizerConfig, StepSize
 
 
 def test_ball_projection_basics():
@@ -103,6 +112,73 @@ def test_smoothness_profile_rejects_negative_bounds():
         SmoothnessProfile(lipschitz=-1.0, smoothness=0.0)
     with pytest.raises(ConfigurationError):
         SmoothnessProfile(lipschitz=1.0, smoothness=-0.5)
+
+
+ONE_JOB = {"a": 1.0}
+
+# every number held to "finite and >= 0" (or "> 0"): (build with the number
+# as value, the key the error names, whether zero is rejected too); each
+# build succeeds at value 1.0, and at 0.0 unless zero is rejected
+RANGE_RULES = {
+    "ball-radius": (lambda v: Ball(center=np.zeros(2), radius=v), "radius", False),
+    "lipschitz": (lambda v: SmoothnessProfile(lipschitz=v, smoothness=1.0), "lipschitz", False),
+    "smoothness": (lambda v: SmoothnessProfile(lipschitz=1.0, smoothness=v), "smoothness", False),
+    "fixed-rate": (lambda v: FixedWorkload(rate=v, mix=ONE_JOB), "rate", True),
+    "drift-rate": (
+        lambda v: VariableMixWorkload(v, ONE_JOB, ONE_JOB, start_round=1, end_round=2), "rate", True
+    ),
+    "segment-rate": (
+        lambda v: VariableRateWorkload(segments=((1, 2, v),), mix=ONE_JOB),
+        "segments: rate of segment 1-2",
+        True,
+    ),
+    "mix-probability": (
+        lambda v: _check_mix({"a": v, "b": 1.0 - v}, ("a", "b"), "mix"),
+        "mix probability for 'a'",
+        False,
+    ),
+    "warmup-seconds": (lambda v: SimConfig(1.0, warmup_seconds=v), "warmup_seconds", False),
+    "measure-seconds": (lambda v: SimConfig(1.0, measure_seconds=v), "measure_seconds", True),
+    "resource-weight": (lambda v: SimConfig(1.0, resource_weight=v), "resource_weight", False),
+    "correction-factor": (
+        lambda v: SimConfig(1.0, correction_factor=v), "correction_factor", True
+    ),
+    "lower-bound": (lambda v: SimConfig(1.0, lower_bound=v), "lower_bound", False),
+    "upper-bound": (
+        lambda v: SimConfig(0.0, lower_bound=0.0, upper_bound=v), "upper_bound", False
+    ),
+    "quadratic-radius": (
+        lambda v: QuadraticAdversaryConfig(dimension=2, sparsity=1, radius=v), "radius", True
+    ),
+    "noise-sigma": (
+        lambda v: QuadraticAdversaryConfig(2, 1, radius=1.0, noise_sigma=v), "noise_sigma", False
+    ),
+    "approx-scale": (
+        lambda v: QuadraticAdversaryConfig(2, 1, radius=1.0, approx_scale=v), "approx_scale", False
+    ),
+    "eta": (lambda v: StepSize(v), "eta", False),
+    "decay": (lambda v: StepSize(1.0, decay=v), "decay", False),
+    "factor": (lambda v: StepSize(1.0, period=2, factor=v), "factor", True),
+    "delta": (
+        lambda v: OptimizerConfig(name="congo-e", schedule=StepSize(0.1), delta=v), "delta", True
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_RULES))
+def test_range_rules_share_one_message(case):
+    build, key, positive = RANGE_RULES[case]
+    build(1.0)
+    bad = [math.nan, math.inf, -1.0]
+    if positive:
+        bad.append(0.0)
+    else:
+        build(0.0)
+    bound = "> 0" if positive else ">= 0"
+    for value in bad:
+        with pytest.raises(ConfigurationError) as caught:
+            build(value)
+        assert str(caught.value) == f"{key}: must be finite and {bound}, got {value}"
 
 
 def _random_bracket(rng):

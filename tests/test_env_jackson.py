@@ -298,7 +298,7 @@ def test_incur_and_oracle_need_begin_round_after_each_reset():
         ({"job1": 0.5}, r"round 1 mix probabilities sum to 0.5, expected 1"),
         (
             {"job1": 1.5, "job2": -0.5},
-            r"round 1 mix probability for 'job2' must be finite and >= 0, got -0.5",
+            r"round 1 mix probability for 'job2': must be finite and >= 0, got -0.5",
         ),
     ],
     ids=["sums-to-half", "negative-entry"],

@@ -18,7 +18,7 @@ from congo.harness import (
     run_sweep,
 )
 from congo.env_quadratic import QuadraticAdversary, QuadraticAdversaryConfig, smoothness_bounds
-from congo.optimizers import ConstantRate, OptimizerConfig, run_online
+from congo.optimizers import OptimizerConfig, StepSize, run_online
 from congo.sensing import ValueOracle, pointwise
 
 
@@ -84,7 +84,7 @@ class NoGradientEnv(TinyQuadEnv):
 
 
 def opt(name, **kw):
-    base = dict(schedule=ConstantRate(0.05), delta=1e-4, sparsity=2, m=3)
+    base = dict(schedule=StepSize(0.05), delta=1e-4, sparsity=2, m=3)
     base.update(kw)
     return OptimizerConfig(name=name, **base)
 
@@ -172,7 +172,7 @@ def test_run_results_equal_the_online_records_bit_for_bit(monkeypatch, jobs):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 forks a child on any host
     env_cfg = QuadraticAdversaryConfig(dimension=50, sparsity=5, radius=50.0)
     optimizers = [
-        OptimizerConfig(name=name, schedule=ConstantRate(0.1), delta=1e-5, sparsity=5, m=24,
+        OptimizerConfig(name=name, schedule=StepSize(0.1), delta=1e-5, sparsity=5, m=24,
                         smoothness=smoothness_bounds(50.0, 5))
         for name in ("congo-e", "congo-b", "gdsp")
     ]

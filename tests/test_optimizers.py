@@ -8,10 +8,8 @@ import pytest
 from congo.core import Box, ConfigurationError, SmoothnessProfile
 from congo.optimizers import (
     ALL_OPTIMIZERS,
-    ConstantRate,
-    InverseDecayRate,
     OptimizerConfig,
-    StepDecayRate,
+    StepSize,
     congo_step,
     gdsp_step,
     nsgd_step,
@@ -128,18 +126,18 @@ def profile(lipschitz=100.0, smoothness=1.0):
 
 
 def cfg_for(name, **kw):
-    base = dict(schedule=ConstantRate(0.1), delta=1e-4, smoothness=profile())
+    base = dict(schedule=StepSize(0.1), delta=1e-4, smoothness=profile())
     base.update(kw)
     return OptimizerConfig(name=name, **base)
 
 
 def test_rate_schedules_are_one_indexed():
-    assert ConstantRate(0.3).rate(1) == 0.3
-    assert ConstantRate(0.3).rate(999) == 0.3
-    inv = InverseDecayRate(1.0, 0.5)
+    assert StepSize(0.3).rate(1) == 0.3
+    assert StepSize(0.3).rate(999) == 0.3
+    inv = StepSize(1.0, decay=0.5)
     assert inv.rate(1) == pytest.approx(1.0 / 1.5)
     assert inv.rate(4) == pytest.approx(1.0 / 3.0)
-    step = StepDecayRate(1.0, period=25, factor=0.5)
+    step = StepSize(1.0, period=25, factor=0.5)
     assert step.rate(1) == 1.0
     assert step.rate(25) == 1.0
     assert step.rate(26) == 0.5
@@ -148,13 +146,13 @@ def test_rate_schedules_are_one_indexed():
 
 def test_rate_schedule_validation():
     with pytest.raises(ConfigurationError):
-        ConstantRate(-0.1)
+        StepSize(-0.1)
     with pytest.raises(ConfigurationError):
-        InverseDecayRate(1.0, -1.0)
+        StepSize(1.0, decay=-1.0)
     with pytest.raises(ConfigurationError):
-        StepDecayRate(1.0, period=0, factor=0.5)
+        StepSize(1.0, period=0, factor=0.5)
     with pytest.raises(ConfigurationError):
-        StepDecayRate(1.0, period=10, factor=0.0)
+        StepSize(1.0, period=10, factor=0.0)
 
 
 def test_optimizer_config_validation():
@@ -167,7 +165,7 @@ def test_optimizer_config_validation():
     with pytest.raises(ConfigurationError):
         cfg_for("congo-e", k=0)
     # the exact-gradient baseline never probes, so delta is unconstrained
-    OptimizerConfig(name="gd", schedule=ConstantRate(0.1), delta=0.0)
+    OptimizerConfig(name="gd", schedule=StepSize(0.1), delta=0.0)
 
 
 def test_matrix_distribution_follows_the_optimizer():
@@ -279,7 +277,7 @@ def test_run_online_is_deterministic():
 
 def test_run_online_iterates_stay_feasible_and_descend():
     env = LinearEnv(np.array([2.0, 0.0, 0.0]), lower=-1.0, upper=1.0)
-    records = run_online(cfg_for("gd", schedule=ConstantRate(0.5)), env, 8, seed=0)
+    records = run_online(cfg_for("gd", schedule=StepSize(0.5)), env, 8, seed=0)
     assert len(records) == 8
     for r in records:
         assert env.constraint_set.contains(r.x, tol=1e-9)
@@ -291,7 +289,7 @@ def test_run_online_iterates_stay_feasible_and_descend():
 
 def test_run_online_offset_applies_on_clipped_rounds():
     env = BrokenOracleEnv(d=3, offset=1.0)
-    records = run_online(cfg_for("congo-e", schedule=ConstantRate(1.0)), env, 3, seed=0)
+    records = run_online(cfg_for("congo-e", schedule=StepSize(1.0)), env, 3, seed=0)
     assert all(r.clipped for r in records)
     assert records[0].queries == 1  # the base query that came back NaN
     # estimate is zero but the known offset still drives descent: 5 -> 4 -> 3
@@ -341,7 +339,7 @@ def test_run_online_raises_when_a_correction_leaves_the_box():
 
 def test_run_online_normalized_steps_have_unit_length():
     env = LinearEnv(np.array([3.0, 4.0]))
-    cfg = cfg_for("gd", schedule=ConstantRate(1.0), normalize_gradient=True)
+    cfg = cfg_for("gd", schedule=StepSize(1.0), normalize_gradient=True)
     records = run_online(cfg, env, 2, seed=0)
     # eta=1 with a unit-normalized gradient moves the iterate by exactly 1
     assert np.allclose(records[1].x, -np.array([3.0, 4.0]) / 5.0, atol=1e-12)

@@ -6,8 +6,12 @@ counts below are frozen properties of the implementation.
 """
 
 import dataclasses
+import importlib.metadata
 import importlib.util
 import math
+import re
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,3 +459,16 @@ def test_recovery_names_its_numpy_requirement(monkeypatch):
     spec = importlib.util.spec_from_file_location("congo._recovery_probe", recovery.__file__)
     with pytest.raises(ImportError, match=r"numpy>=2\.4"):
         spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_the_python_floor_is_not_below_numpys():
+    # an install below numpy's own Python floor fails in the resolver
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    ours = tomllib.loads(pyproject.read_text())["project"]["requires-python"]
+    theirs = importlib.metadata.metadata("numpy")["Requires-Python"]
+
+    def floor(spec):
+        (version,) = re.fullmatch(r">=\s*([\d.]+)", spec.strip()).groups()
+        return tuple(int(part) for part in version.split("."))
+
+    assert floor(ours) >= floor(theirs), (ours, theirs)

@@ -12,7 +12,7 @@ import pytest
 from congo.core import ConfigurationError
 from congo.env_jackson import FixedWorkload, JacksonEnvironment, SimConfig
 from congo.env_quadratic import QuadraticAdversary, QuadraticAdversaryConfig, smoothness_bounds
-from congo.optimizers import ConstantRate, InverseDecayRate, StepDecayRate
+from congo.optimizers import StepSize
 from congo.scenario import (
     _EXPERIMENT_KEYS,
     _OPTIMIZER_KEYS,
@@ -108,13 +108,9 @@ def test_parse_seed_list_rejects(bad):
 
 
 def test_parse_learning_rate_forms():
-    assert isinstance(parse_learning_rate("0.25"), ConstantRate)
-    step = parse_learning_rate("step:1.0:25:0.7")
-    assert isinstance(step, StepDecayRate)
-    assert (step.eta, step.period, step.factor) == (1.0, 25, 0.7)
-    inv = parse_learning_rate("inv:0.7:0.5")
-    assert isinstance(inv, InverseDecayRate)
-    assert (inv.eta, inv.decay) == (0.7, 0.5)
+    assert parse_learning_rate("0.25") == StepSize(0.25)
+    assert parse_learning_rate("step:1.0:25:0.7") == StepSize(1.0, period=25, factor=0.7)
+    assert parse_learning_rate("inv:0.7:0.5") == StepSize(0.7, decay=0.5)
     for bad in ("fast", "step:1.0:25", "inv:a:b", "0.1:0.2"):
         with pytest.raises(ConfigurationError):
             parse_learning_rate(bad)
@@ -157,7 +153,7 @@ def test_load_jackson_spec_round_trip(tmp_path):
 
     for cfg in spec.optimizers:
         assert cfg.normalize_gradient
-        assert isinstance(cfg.schedule, InverseDecayRate)
+        assert cfg.schedule == StepSize(0.7, decay=0.5)
 
 
 def test_spec_error_messages_name_the_field(tmp_path):
@@ -204,11 +200,11 @@ def test_spec_error_messages_name_the_field(tmp_path):
         (QUAD_SPEC, "rounds = 40", "rounds = 40\ntpyo = 1", r"\[experiment\] tpyo: unknown key"),
         (QUAD_SPEC + "\n[sweep]\nparameter = m\nvalues = 5\n", "values = 5", "value = 5",
          r"\[sweep\] value: unknown key"),
-        (QUAD_SPEC, "radius = 25.0", "radius = 0", r"\[quadratic\] radius: must be > 0"),
+        (QUAD_SPEC, "radius = 25.0", "radius = 0", r"\[quadratic\] radius: must be finite and > 0, got 0.0"),
         (QUAD_SPEC, "radius = 25.0", "radius = inf",
-         r"\[quadratic\] radius: must be > 0 and finite, got inf"),
+         r"\[quadratic\] radius: must be finite and > 0, got inf"),
         (QUAD_SPEC, "noise_sigma = 0.001", "noise_sigma = inf",
-         r"\[quadratic\] noise_sigma: must be >= 0 and finite, got inf"),
+         r"\[quadratic\] noise_sigma: must be finite and >= 0, got inf"),
         (QUAD_SPEC, "sparsity = 4\nradius", "sparsity = 31\nradius",
          r"\[quadratic\] sparsity: need 1 <= sparsity <= dimension"),
         (JACKSON_SPEC, "mix = alpha", "rate = 2.0\nmix = alpha", r"\[workload\] rate: unknown key"),
@@ -242,7 +238,7 @@ def test_spec_error_messages_name_the_field(tmp_path):
         (QUAD_SPEC, "dimension = 30", "dimension = 0",
          r"\[quadratic\] sparsity: need 1 <= sparsity <= dimension, got 4/0"),
         (JACKSON_SPEC, "mix = alpha:0.25", "mix = alpha:nan",
-         r"\[workload\] mix probability for 'alpha' must be finite and >= 0, got nan"),
+         r"\[workload\] mix probability for 'alpha': must be finite and >= 0, got nan"),
         (JACKSON_SPEC, "correction_factor = 0.5", "correction_factor = 0.5\nlower_bound = -50",
          r"\[simulation\] lower_bound: must be finite and >= 0, got -50.0"),
         (JACKSON_SPEC, "correction_factor = 0.5", "correction_factor = 0.5\nupper_bound = inf",

@@ -5,7 +5,7 @@ import pytest
 
 from congo import optimizers
 from congo.core import MeasurementError
-from congo.optimizers import ConstantRate, OptimizerConfig, gdsp_step, nsgd_step, run_online
+from congo.optimizers import OptimizerConfig, StepSize, gdsp_step, nsgd_step, run_online
 from congo.scenario import find_preset, load_spec
 from congo.sensing import (
     ValueOracle,
@@ -251,8 +251,8 @@ def test_batched_estimators_match_the_per_probe_reference(preset):
     for env in envs:
         env.begin_round(1)
     m, k = 6, 5
-    gdsp = OptimizerConfig(name="gdsp", schedule=ConstantRate(0.1), delta=delta, m=k)
-    nsgd = OptimizerConfig(name="nsgd", schedule=ConstantRate(0.1), delta=delta)
+    gdsp = OptimizerConfig(name="gdsp", schedule=StepSize(0.1), delta=delta, m=k)
+    nsgd = OptimizerConfig(name="nsgd", schedule=StepSize(0.1), delta=delta)
 
     def single_row(oracle, rng, batched):
         matrix = draw_matrix(m, x.shape[0], "gaussian", rng)
